@@ -61,9 +61,8 @@ void RunMembershipScale() {
   constexpr uint64_t kMaxConfigBytesAt1000 = 21'600'000;
 
   const MessageType kConfigTypes[] = {
-      MessageType::kConfigBroadcast, MessageType::kConfigSlice,
-      MessageType::kConfigDelta, MessageType::kConfigFetch,
-      MessageType::kConfigAck,
+      MessageType::kConfigSlice, MessageType::kConfigDelta,
+      MessageType::kConfigFetch, MessageType::kConfigAck,
   };
 
   for (int n : {100, 250, 1000}) {

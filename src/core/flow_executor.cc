@@ -25,24 +25,29 @@ void FlowExecutor::Post(const FlowId& flow, std::function<void()> task) {
 }
 
 void FlowExecutor::RunStrand(FlowId flow) {
+  std::unique_lock<std::mutex> lock(mu_);
   for (;;) {
-    std::function<void()> task;
     {
-      std::lock_guard<std::mutex> lock(mu_);
-      auto it = strands_.find(flow);
-      Strand& strand = it->second;
-      if (strand.queue.empty()) {
-        // Erase on drain: an empty strand map is the no-leak invariant
-        // the teardown checks assert.
-        strands_.erase(it);
-        idle_cv_.notify_all();
-        return;
-      }
-      task = std::move(strand.queue.front());
-      strand.queue.pop_front();
+      std::deque<std::function<void()>>& queue = strands_.at(flow).queue;
+      std::function<void()> task = std::move(queue.front());
+      queue.pop_front();
+      lock.unlock();
+      task();
+    }  // the task and what it captured die outside the lock
+    lock.lock();
+    // Erase a drained strand and report the task done in one critical
+    // section: Run() returns on the report and Drain() on the erase, so
+    // either way the strand is already gone (an empty strand map is the
+    // no-leak invariant the teardown checks assert) and this strand no
+    // longer touches the network.
+    auto it = strands_.find(flow);
+    const bool drained = it->second.queue.empty();
+    if (drained) {
+      strands_.erase(it);
+      idle_cv_.notify_all();
     }
-    task();
     network_->EndExternalWork();
+    if (drained) return;
   }
 }
 

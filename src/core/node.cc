@@ -211,22 +211,23 @@ Status Node::ApplyConfigLocked(const NetworkConfig& config,
   // Rebuild the DBM against the new configuration. In-flight updates and
   // queries of the previous configuration are abandoned (the initiators'
   // termination detectors see the dropped peers as lost).
-  EvalOptions eval;
-  eval.num_threads = options_.exec.num_threads;
-  eval.pool = pool_.get();
-  eval.min_parallel_rows = options_.exec.min_parallel_rows;
-  UpdateManager::Options update_options = options_.update;
-  update_options.reliability = options_.reliability;
-  update_options.eval = eval;
+  FlowEngine::Context context;
+  context.network = network_;
+  context.self = id_;
+  context.node_name = name_;
+  context.wrapper = wrapper_.get();
+  context.config = config_.get();
+  context.link_graph = link_graph_.get();
+  context.stats = &statistics_;
+  context.minter = minter_.get();
+  context.reliability = options_.reliability;
+  context.eval.num_threads = options_.exec.num_threads;
+  context.eval.pool = pool_.get();
+  context.eval.min_parallel_rows = options_.exec.min_parallel_rows;
   update_manager_ = std::make_shared<UpdateManager>(
-      network_, id_, name_, wrapper_.get(), config_.get(),
-      link_graph_.get(), &statistics_, minter_.get(), &update_seq_,
-      &export_memory_, update_options);
+      context, &update_seq_, &export_memory_, options_.update);
+  query_manager_ = std::make_shared<QueryManager>(context, &query_seq_);
   CODB_RETURN_IF_ERROR(update_manager_->Init());
-  query_manager_ = std::make_shared<QueryManager>(
-      network_, id_, name_, wrapper_.get(), config_.get(),
-      link_graph_.get(), &statistics_, minter_.get(), &query_seq_,
-      options_.reliability, eval);
   CODB_RETURN_IF_ERROR(query_manager_->Init());
   // The node outlives both managers, so capturing `this` is safe; the
   // predicate makes evicted peers invisible to new flows immediately.
@@ -528,32 +529,6 @@ void Node::HandleMessage(const Message& message) {
       RetryPendingPipes();
       return;
 
-    case MessageType::kConfigBroadcast: {
-      Result<ConfigBroadcastPayload> parsed =
-          ConfigBroadcastPayload::Deserialize(message.payload);
-      if (!parsed.ok()) {
-        CODB_LOG(kWarning) << name_ << ": bad config broadcast: "
-                           << parsed.status().ToString();
-        return;
-      }
-      Result<NetworkConfig> config =
-          NetworkConfig::Parse(parsed.value().config_text);
-      if (!config.ok()) {
-        CODB_LOG(kError) << name_ << ": config did not parse: "
-                         << config.status().ToString();
-        return;
-      }
-      Status applied =
-          ApplyConfigLocked(config.value(), parsed.value().version,
-                            /*cyclic_rules=*/nullptr,
-                            /*has_any_cycle=*/false);
-      if (!applied.ok()) {
-        CODB_LOG(kError) << name_ << ": config rejected: "
-                         << applied.ToString();
-      }
-      return;
-    }
-
     case MessageType::kConfigSlice:
       HandleConfigSlice(message);
       return;
@@ -573,36 +548,14 @@ void Node::HandleMessage(const Message& message) {
     case MessageType::kUpdateRequest:
     case MessageType::kUpdateData:
     case MessageType::kLinkClosed:
+    case MessageType::kUpdateAck:
     case MessageType::kUpdateComplete:
-      DispatchFlowMessage(message, /*to_update=*/true);
-      return;
-
     case MessageType::kQueryRequest:
     case MessageType::kQueryResult:
     case MessageType::kQueryDone:
-      DispatchFlowMessage(message, /*to_update=*/false);
+    case MessageType::kDeliveryAck:
+      DispatchFlowMessage(message);
       return;
-
-    case MessageType::kUpdateAck: {
-      Result<AckPayload> ack = AckPayload::Deserialize(message.payload);
-      if (!ack.ok()) return;
-      DispatchFlowMessage(
-          message,
-          /*to_update=*/ack.value().flow.scope == FlowId::Scope::kUpdate);
-      return;
-    }
-
-    case MessageType::kDeliveryAck: {
-      // Delivery receipts route by flow scope, like D-S acks.
-      Result<DeliveryAckPayload> receipt =
-          DeliveryAckPayload::Deserialize(message.payload);
-      if (!receipt.ok()) return;
-      DispatchFlowMessage(
-          message,
-          /*to_update=*/receipt.value().flow.scope ==
-              FlowId::Scope::kUpdate);
-      return;
-    }
 
     case MessageType::kStatsRequest:
       SampleExecMetrics();
@@ -626,37 +579,33 @@ void Node::HandleMessage(const Message& message) {
   }
 }
 
-void Node::DispatchFlowMessage(const Message& message, bool to_update) {
+void Node::DispatchFlowMessage(const Message& message) {
+  // Every flow-scoped payload starts with its FlowId; the scope picks the
+  // engine, which reuses the id for the whole envelope.
+  Result<FlowId> peeked = PeekFlowId(message.payload);
+  if (!peeked.ok()) {
+    CODB_LOG(kWarning) << name_ << ": bad " << MessageTypeName(message.type)
+                       << ": " << peeked.status().ToString();
+    return;
+  }
+  const FlowId flow = peeked.value();
+  std::shared_ptr<FlowEngine> engine;
+  if (flow.scope == FlowId::Scope::kUpdate) {
+    engine = update_manager_;
+  } else {
+    engine = query_manager_;
+  }
+  if (engine == nullptr) return;
   if (ConcurrentFlows()) {
     // Strand dispatch: per-flow FIFO order, cross-flow concurrency. The
-    // strand task captures the manager shared_ptr at dispatch time, so a
-    // reconfiguration swapping managers cannot pull it out from under a
-    // running flow.
-    Result<FlowId> flow = PeekFlowId(message.payload);
-    if (flow.ok()) {
-      if (to_update) {
-        if (std::shared_ptr<UpdateManager> manager = update_manager_) {
-          flow_exec_->Post(flow.value(), [manager, message] {
-            manager->HandleMessage(message);
-          });
-        }
-      } else {
-        if (std::shared_ptr<QueryManager> manager = query_manager_) {
-          flow_exec_->Post(flow.value(), [manager, message] {
-            manager->HandleMessage(message);
-          });
-        }
-      }
-      return;
-    }
-    // Unparseable flow id: fall through to the inline path, where the
-    // manager's own parse error reporting applies.
+    // strand task holds the engine, so a reconfiguration swapping managers
+    // cannot pull it out from under a running flow.
+    flow_exec_->Post(flow, [engine, flow, message] {
+      engine->HandleMessage(flow, message);
+    });
+    return;
   }
-  if (to_update) {
-    if (update_manager_ != nullptr) update_manager_->HandleMessage(message);
-  } else {
-    if (query_manager_ != nullptr) query_manager_->HandleMessage(message);
-  }
+  engine->HandleMessage(flow, message);
 }
 
 void Node::HandlePipeClosed(PeerId other) {

@@ -63,8 +63,6 @@ class Node : public NetworkPeer {
     UpdateManager::Options update;
     LinkProfile link_profile;  // profile of the pipes this node opens
     // At-least-once delivery for both managers (core/reliability.h).
-    // `update.reliability` is overwritten with this value so one knob
-    // configures the whole node.
     ReliabilityOptions reliability;
     ExecOptions exec;
     // Skip the discovery announcement flood. Discovery costs O(n·E)
@@ -110,7 +108,7 @@ class Node : public NetworkPeer {
   // link graph and the DBM. Older versions than the current one are
   // ignored. (The super-peer delivers per-node slices via kConfigSlice and
   // kConfigDelta — DESIGN.md §13; tests and examples may still call this
-  // directly with a full config, or send legacy kConfigBroadcast.)
+  // directly with a full config.)
   Status ApplyConfig(const NetworkConfig& config, uint64_t version);
 
   bool has_config() const { return config_ != nullptr; }
@@ -278,9 +276,9 @@ class Node : public NetworkPeer {
   // running inline under mutex_.
   bool ConcurrentFlows() const;
 
-  // Routes a flow-scoped message to its manager, either inline or on the
-  // flow's strand. `to_update` picks the manager.
-  void DispatchFlowMessage(const Message& message, bool to_update);
+  // Routes a flow-scoped message (acks and receipts included) to the
+  // engine of its peeked scope, either inline or on the flow's strand.
+  void DispatchFlowMessage(const Message& message);
 
   // Publishes the exec.* gauges (pool + store-lock health) into the
   // metrics registry; called when a stats report is cut.

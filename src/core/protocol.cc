@@ -43,7 +43,8 @@ void WriteHeadTuples(WireWriter& writer,
 }
 
 Result<std::vector<HeadTuple>> ReadHeadTuples(WireReader& reader) {
-  CODB_ASSIGN_OR_RETURN(uint32_t count, reader.ReadU32());
+  // Each element is at least a relation-name length and a tuple arity.
+  CODB_ASSIGN_OR_RETURN(uint32_t count, reader.ReadCount(4 + 2));
   std::vector<HeadTuple> tuples;
   tuples.reserve(count);
   for (uint32_t i = 0; i < count; ++i) {
@@ -235,24 +236,6 @@ Result<QueryDonePayload> QueryDonePayload::Deserialize(
   WireReader reader(payload);
   QueryDonePayload out;
   CODB_ASSIGN_OR_RETURN(out.query, ReadFlowId(reader));
-  return out;
-}
-
-// -- ConfigBroadcastPayload ---------------------------------------------------
-
-std::vector<uint8_t> ConfigBroadcastPayload::Serialize() const {
-  WireWriter writer;
-  writer.WriteU64(version);
-  writer.WriteString(config_text);
-  return writer.Take();
-}
-
-Result<ConfigBroadcastPayload> ConfigBroadcastPayload::Deserialize(
-    const std::vector<uint8_t>& payload) {
-  WireReader reader(payload);
-  ConfigBroadcastPayload out;
-  CODB_ASSIGN_OR_RETURN(out.version, reader.ReadU64());
-  CODB_ASSIGN_OR_RETURN(out.config_text, reader.ReadString());
   return out;
 }
 

@@ -29,6 +29,9 @@ struct FlowId {
   uint32_t origin = 0;
   uint64_t seq = 0;
 
+  // Encoded size: scope u8 + origin u32 + seq u64.
+  static constexpr size_t kWireBytes = 13;
+
   friend bool operator==(const FlowId& a, const FlowId& b) {
     return a.scope == b.scope && a.origin == b.origin && a.seq == b.seq;
   }
@@ -142,15 +145,6 @@ struct QueryDonePayload {
 };
 
 // -- super-peer --------------------------------------------------------------
-
-struct ConfigBroadcastPayload {
-  uint64_t version = 0;
-  std::string config_text;
-
-  std::vector<uint8_t> Serialize() const;
-  static Result<ConfigBroadcastPayload> Deserialize(
-      const std::vector<uint8_t>& payload);
-};
 
 struct StatsRequestPayload {
   uint64_t request_id = 0;

@@ -2,77 +2,20 @@
 
 #include <algorithm>
 
-#include "core/consistency.h"
 #include "obs/trace.h"
 #include "query/evaluator.h"
 #include "util/logging.h"
 
 namespace codb {
 
-QueryManager::QueryManager(NetworkBase* network, PeerId self,
-                           std::string node_name, Wrapper* wrapper,
-                           const NetworkConfig* config,
-                           const LinkGraph* link_graph,
-                           StatisticsModule* stats, NullMinter* minter,
-                           uint64_t* query_seq,
-                           ReliabilityOptions reliability, EvalOptions eval)
-    : network_(network),
-      self_(self),
-      node_name_(std::move(node_name)),
-      wrapper_(wrapper),
-      config_(config),
-      link_graph_(link_graph),
-      stats_(stats),
-      minter_(minter),
-      eval_(eval),
-      m_started_(stats->metrics().GetCounter("query.started")),
-      m_requests_in_(stats->metrics().GetCounter("query.requests_in")),
-      m_results_in_(stats->metrics().GetCounter("query.results_in")),
-      m_results_out_(stats->metrics().GetCounter("query.results_out")),
-      m_done_in_(stats->metrics().GetCounter("query.done_in")),
-      m_rule_evals_(stats->metrics().GetCounter("query.rule_evals")),
-      m_dups_suppressed_(
-          stats->metrics().GetCounter("query.dups_suppressed")),
-      m_root_terminations_(
-          stats->metrics().GetCounter("query.root_terminations")),
-      m_aborted_(stats->metrics().GetCounter("query.aborted")),
-      termination_(self, [this](PeerId to, const FlowId& flow) {
-        AckPayload ack{flow};
-        // Sequenced + retransmitted, like the update-side D-S ack.
-        reliable_.Send(MakeMessage(self_, to, MessageType::kUpdateAck,
-                                   ack.Serialize()),
-                       flow, /*basic=*/false);
-      }),
-      reliable_(network, reliability,
-                [this](const FlowId& flow, PeerId dst, bool basic) {
-                  // Runs from a retransmit timer, outside HandleMessage.
-                  std::lock_guard<std::recursive_mutex> lock(mu_);
-                  if (basic) termination_.CancelOne(flow, dst);
-                  termination_.MaybeQuiesce();
-                },
-                stats->metrics().GetCounter("query.retransmits"),
-                stats->metrics().GetCounter("query.send_give_ups"),
-                stats->metrics().GetCounter("net.retx.bytes")),
+QueryManager::QueryManager(const Context& context, uint64_t* query_seq)
+    : FlowEngine(FlowId::Scope::kQuery, context),
+      m_requests_in_(stats_->metrics().GetCounter("query.requests_in")),
+      m_results_in_(stats_->metrics().GetCounter("query.results_in")),
+      m_results_out_(stats_->metrics().GetCounter("query.results_out")),
+      m_done_in_(stats_->metrics().GetCounter("query.done_in")),
+      m_rule_evals_(stats_->metrics().GetCounter("query.rule_evals")),
       query_seq_(query_seq) {}
-
-Status QueryManager::Init() {
-  for (const CoordinationRule* rule : config_->IncomingOf(node_name_)) {
-    CoordinationRule compiled = *rule;
-    CODB_RETURN_IF_ERROR(
-        compiled.Compile(config_->SchemaOf(rule->exporter()),
-                         config_->SchemaOf(rule->importer())));
-    compiled_incoming_.emplace(rule->id(), std::move(compiled));
-  }
-  return Status::Ok();
-}
-
-Result<PeerId> QueryManager::ResolvePeer(const std::string& node_name) const {
-  auto it = peer_cache_.find(node_name);
-  if (it != peer_cache_.end()) return it->second;
-  CODB_ASSIGN_OR_RETURN(PeerId id, network_->FindByName(node_name));
-  peer_cache_.emplace(node_name, id);
-  return id;
-}
 
 QueryManager::QueryState& QueryManager::StateOf(const FlowId& query) {
   return queries_[query];
@@ -114,7 +57,6 @@ Result<FlowId> QueryManager::StartQuery(const ConjunctiveQuery& query,
   }
 
   FlowId id{FlowId::Scope::kQuery, self_.value, (*query_seq_)++};
-  m_started_->Add();
   // Root span of the diffusing query computation.
   ScopedSpan span(
       Tracer::Global().BeginSpan(self_.value, "query.start", id.ToString()));
@@ -124,22 +66,7 @@ Result<FlowId> QueryManager::StartQuery(const ConjunctiveQuery& query,
   state.on_progress = std::move(on_progress);
   OverlayOf(state);
 
-  UpdateReport& report = stats_->ReportFor(id);
-  report.start_virtual_us = network_->now_us();
-
-  termination_.StartRoot(id, [this](const FlowId& flow) {
-    m_root_terminations_->Add();
-    FinishOwned(flow);
-  });
-  if (reliable_.options().enabled &&
-      reliable_.options().flow_deadline_us > 0) {
-    std::weak_ptr<void> alive = reliable_.liveness();
-    network_->ScheduleAfter(reliable_.options().flow_deadline_us,
-                            [this, alive, id] {
-                              if (alive.expired()) return;
-                              AbortIfIncomplete(id);
-                            });
-  }
+  stats_->ReportFor(id).start_virtual_us = network_->now_us();
 
   std::vector<std::string> needed;
   for (const Atom& atom : query.body) {
@@ -148,8 +75,7 @@ Result<FlowId> QueryManager::StartQuery(const ConjunctiveQuery& query,
       needed.push_back(atom.predicate);
     }
   }
-  Fetch(id, state, needed, /*label=*/{self_.value});
-  termination_.MaybeQuiesce();
+  RunRoot(id, [&] { Fetch(id, state, needed, /*label=*/{self_.value}); });
   return id;
 }
 
@@ -188,48 +114,9 @@ void QueryManager::Fetch(const FlowId& query, QueryState& state,
   }
 }
 
-bool QueryManager::AcceptDelivery(const Message& message) {
-  if (message.seq == 0) return true;
-  Result<FlowId> flow = PeekFlowId(message.payload);
-  if (!flow.ok()) return true;
-  DeliveryAckPayload receipt{flow.value(), message.seq};
-  network_->Send(MakeMessage(self_, message.src, MessageType::kDeliveryAck,
-                             receipt.Serialize()));
-  switch (dup_filter_.Check(flow.value(), message.src, message.seq)) {
-    case DupFilter::Verdict::kDeliver:
-      return true;
-    case DupFilter::Verdict::kDuplicate:
-      m_dups_suppressed_->Add();
-      return false;
-    case DupFilter::Verdict::kHold:
-      dup_filter_.Hold(flow.value(), message.src, message);
-      return false;
-  }
-  return false;
-}
-
-void QueryManager::DrainReady(const Message& delivered) {
-  if (delivered.seq == 0) return;
-  Result<FlowId> flow = PeekFlowId(delivered.payload);
-  if (!flow.ok()) return;
-  while (std::optional<Message> ready =
-             dup_filter_.NextReady(flow.value(), delivered.src)) {
-    HandleMessage(*ready);
-  }
-}
-
-void QueryManager::HandleMessage(const Message& message) {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
-  if (message.type == MessageType::kDeliveryAck) {
-    Result<DeliveryAckPayload> receipt =
-        DeliveryAckPayload::Deserialize(message.payload);
-    if (receipt.ok()) {
-      reliable_.OnDeliveryAck(receipt.value().flow, message.src,
-                              receipt.value().acked_seq);
-    }
-    return;
-  }
-  if (!AcceptDelivery(message)) return;
+void QueryManager::Dispatch(const FlowId& /*query*/,
+                            const Message& message) {
+  // Each handler reads the query id from its full payload.
   switch (message.type) {
     case MessageType::kQueryRequest:
       OnRequest(message);
@@ -240,19 +127,11 @@ void QueryManager::HandleMessage(const Message& message) {
     case MessageType::kQueryDone:
       OnDone(message);
       break;
-    case MessageType::kUpdateAck: {
-      Result<AckPayload> ack = AckPayload::Deserialize(message.payload);
-      if (ack.ok()) termination_.OnAck(ack.value().flow, message.src);
-      break;
-    }
     default:
       CODB_LOG(kWarning) << node_name_ << ": query manager got unexpected "
                          << MessageTypeName(message.type);
       break;
   }
-  termination_.MaybeQuiesce();
-  // This delivery may have filled the gap in front of parked arrivals.
-  DrainReady(message);
 }
 
 void QueryManager::OnRequest(const Message& message) {
@@ -268,7 +147,6 @@ void QueryManager::OnRequest(const Message& message) {
   ScopedSpan span(Tracer::Global().BeginSpanHere(
       "query.request", request.query.ToString()));
   Tracer::Global().AddArg(span.id(), "rule", request.rule_id);
-  termination_.OnBasicMessage(request.query, message.src);
 
   auto rule_it = compiled_incoming_.find(request.rule_id);
   if (rule_it == compiled_incoming_.end()) {
@@ -312,22 +190,9 @@ void QueryManager::Serve(
   // The overlay is private to this query and only touched under the
   // monitor, so no store guard is needed; the evaluator may still fan the
   // join out over the worker pool.
-  std::vector<Tuple> frontiers;
-  if (delta == nullptr) {
-    frontiers = rule.EvaluateFrontier(overlay, eval_);
-  } else {
-    for (const auto& [relation, rows] : *delta) {
-      bool referenced =
-          std::find_if(rule.query().body.begin(), rule.query().body.end(),
-                       [&](const Atom& atom) {
-                         return atom.predicate == relation;
-                       }) != rule.query().body.end();
-      if (!referenced) continue;
-      std::vector<Tuple> partial =
-          rule.EvaluateFrontierDelta(overlay, relation, rows, eval_);
-      frontiers.insert(frontiers.end(), partial.begin(), partial.end());
-    }
-  }
+  std::vector<Tuple> frontiers =
+      delta == nullptr ? rule.EvaluateFrontier(overlay, eval_)
+                       : rule.EvaluateFrontierDeltas(overlay, *delta, eval_);
 
   std::vector<Tuple> fresh;
   for (Tuple& frontier : frontiers) {
@@ -374,7 +239,6 @@ void QueryManager::OnResult(const Message& message) {
   ScopedSpan span(Tracer::Global().BeginSpanHere(
       "query.result", result.query.ToString()));
   Tracer::Global().AddArg(span.id(), "rule", result.rule_id);
-  termination_.OnBasicMessage(result.query, message.src);
 
   QueryState& state = StateOf(result.query);
   Database& overlay = OverlayOf(state);
@@ -418,39 +282,17 @@ void QueryManager::OnResult(const Message& message) {
   }
 }
 
-void QueryManager::FinishOwned(const FlowId& query) {
+void QueryManager::FinishRoot(const FlowId& query) {
   QueryState& state = StateOf(query);
-  if (state.done) return;
   state.done = true;
-
-  UpdateReport& report = stats_->ReportFor(query);
-  report.complete_virtual_us = network_->now_us();
-
+  stats_->ReportFor(query).complete_virtual_us = network_->now_us();
   if (state.on_progress) state.on_progress({0, true});
 
-  // Tell participants to drop their per-query state. Sequenced +
-  // retransmitted: a lost done-flood would leak per-query overlays.
+  // Tell participants to drop their per-query state; a lost done-flood
+  // would leak per-query overlays.
   done_flood_seen_.insert(query);
-  QueryDonePayload done{query};
-  for (PeerId neighbor : Acquaintances()) {
-    reliable_.Send(MakeMessage(self_, neighbor, MessageType::kQueryDone,
-                               done.Serialize()),
-                   query, /*basic=*/false);
-  }
-}
-
-void QueryManager::AbortIfIncomplete(const FlowId& query) {
-  // Entered from the flow-deadline timer, outside HandleMessage.
-  std::lock_guard<std::recursive_mutex> lock(mu_);
-  QueryState& state = StateOf(query);
-  if (!state.owned || state.done) return;
-  CODB_LOG(kWarning) << node_name_ << ": deadline expired for "
-                     << query.ToString()
-                     << "; finishing with partial results";
-  m_aborted_->Add();
-  stats_->ReportFor(query).aborted = true;
-  termination_.Abort(query);
-  FinishOwned(query);
+  Flood(query, MessageType::kQueryDone, QueryDonePayload{query}.Serialize(),
+        /*skip=*/PeerId());
 }
 
 void QueryManager::OnDone(const Message& message) {
@@ -464,52 +306,8 @@ void QueryManager::OnDone(const Message& message) {
   if (it != queries_.end() && !it->second.owned) {
     queries_.erase(it);
   }
-  for (PeerId neighbor : Acquaintances()) {
-    if (neighbor == message.src) continue;
-    reliable_.Send(MakeMessage(self_, neighbor, MessageType::kQueryDone,
-                               message.payload),
-                   query, /*basic=*/false);
-  }
-}
-
-void QueryManager::HandlePipeClosed(PeerId other) {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
-  reliable_.OnPeerLost(other);
-  termination_.OnPeerLost(other);
-  termination_.MaybeQuiesce();
-}
-
-void QueryManager::SendBasic(const FlowId& query, PeerId dst,
-                             MessageType type, std::vector<uint8_t> payload) {
-  Status sent = reliable_.Send(
-      MakeMessage(self_, dst, type, std::move(payload)), query,
-      /*basic=*/true);
-  if (sent.ok()) {
-    termination_.OnSent(query, dst);
-  } else {
-    CODB_LOG(kDebug) << node_name_ << ": query send failed: "
-                     << sent.ToString();
-  }
-}
-
-std::vector<PeerId> QueryManager::Acquaintances() const {
-  std::vector<PeerId> out;
-  for (const std::string& name : config_->AcquaintancesOf(node_name_)) {
-    Result<PeerId> peer = ResolvePeer(name);
-    if (peer.ok() && network_->IsAlive(peer.value()) &&
-        network_->HasPipe(self_, peer.value()) &&
-        (presumed_alive_ == nullptr || presumed_alive_(peer.value()))) {
-      out.push_back(peer.value());
-    }
-  }
-  return out;
-}
-
-bool QueryManager::LocallyInconsistent() const {
-  const NodeDecl* decl = config_->FindNode(node_name_);
-  if (decl == nullptr || decl->keys.empty()) return false;
-  ShardedRWLock::ReadAllGuard read_guard(wrapper_->store_lock());
-  return !FindKeyViolations(wrapper_->storage(), decl->keys).empty();
+  Flood(query, MessageType::kQueryDone, message.payload,
+        /*skip=*/message.src);
 }
 
 bool QueryManager::IsDone(const FlowId& query) const {

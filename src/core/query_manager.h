@@ -20,26 +20,17 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <set>
 #include <string>
 #include <unordered_set>
 #include <vector>
 
-#include "core/config.h"
-#include "query/evaluator.h"
-#include "core/link_graph.h"
-#include "core/protocol.h"
-#include "core/reliability.h"
-#include "core/statistics.h"
-#include "core/termination.h"
-#include "net/network_interface.h"
-#include "wrapper/wrapper.h"
+#include "core/flow_engine.h"
 
 namespace codb {
 
-class QueryManager {
+class QueryManager : public FlowEngine {
  public:
   // Called at the origin when new result tuples arrive (streaming UI) and
   // once more on completion.
@@ -51,34 +42,12 @@ class QueryManager {
 
   // `query_seq` is the node-owned counter of issued queries; it lives
   // outside the manager so ids stay unique across reconfigurations.
-  // `eval` configures this manager's rule/answer evaluations (thread pool
-  // + fan-out for the partitioned-join path; defaults stay sequential).
-  QueryManager(NetworkBase* network, PeerId self, std::string node_name,
-               Wrapper* wrapper, const NetworkConfig* config,
-               const LinkGraph* link_graph, StatisticsModule* stats,
-               NullMinter* minter, uint64_t* query_seq,
-               ReliabilityOptions reliability = ReliabilityOptions(),
-               EvalOptions eval = EvalOptions());
-
-  // Compiles this node's incoming links (rules it may be asked to serve).
-  Status Init();
+  QueryManager(const Context& context, uint64_t* query_seq);
 
   // Issues `query` (over this node's schema) from this node. The node
   // becomes the root of the diffusing computation.
   Result<FlowId> StartQuery(const ConjunctiveQuery& query,
                             ProgressFn on_progress = nullptr);
-
-  // Routed by the node: kQueryRequest/kQueryResult/kQueryDone, plus
-  // kUpdateAck with query scope.
-  void HandleMessage(const Message& message);
-
-  void HandlePipeClosed(PeerId other);
-
-  // Liveness predicate from the node's membership layer (see
-  // UpdateManager::SetPresumedAlive). Null = historical behaviour.
-  void SetPresumedAlive(std::function<bool(PeerId)> predicate) {
-    presumed_alive_ = std::move(predicate);
-  }
 
   // True once the diffusing computation of an owned query terminated.
   bool IsDone(const FlowId& query) const;
@@ -96,10 +65,6 @@ class QueryManager {
   // teardown check: once every owned query finished and its done-flood
   // propagated, this is zero network-wide.
   size_t ForeignQueryStates() const;
-
-  // Unacked sequenced messages still held for retransmission (see
-  // UpdateManager::PendingReliable).
-  uint64_t PendingReliable() const { return reliable_.pending_count(); }
 
  private:
   struct QueryState {
@@ -133,6 +98,11 @@ class QueryManager {
   QueryState& StateOf(const FlowId& query);
   Database& OverlayOf(QueryState& state);
 
+  // FlowEngine hooks: kQueryRequest/kQueryResult/kQueryDone, and the end
+  // of an owned query (reports it done and floods kQueryDone).
+  void Dispatch(const FlowId& query, const Message& message) override;
+  void FinishRoot(const FlowId& query) override;
+
   void OnRequest(const Message& message);
   void OnResult(const Message& message);
   void OnDone(const Message& message);
@@ -150,65 +120,15 @@ class QueryManager {
              const std::string& rule_id,
              const std::map<std::string, std::vector<Tuple>>* delta);
 
-  void SendBasic(const FlowId& query, PeerId dst, MessageType type,
-                 std::vector<uint8_t> payload);
-
-  void FinishOwned(const FlowId& query);
-
-  // Flow-deadline expiry at the origin: reports the query aborted and
-  // finishes it with whatever results arrived.
-  void AbortIfIncomplete(const FlowId& query);
-
-  // Receipt-acks a sequenced message, filters duplicates and parks
-  // out-of-order arrivals (see UpdateManager::AcceptDelivery).
-  bool AcceptDelivery(const Message& message);
-
-  // Processes parked arrivals that `delivered` made next-in-order.
-  void DrainReady(const Message& delivered);
-
-  Result<PeerId> ResolvePeer(const std::string& node_name) const;
-
-  // Alive, pipe-connected rule acquaintances (flood targets).
-  std::vector<PeerId> Acquaintances() const;
-
-  // True when this node's store violates its own key constraints.
-  bool LocallyInconsistent() const;
-
-  // Monitor serializing this manager's handlers, timers, and answer reads
-  // (DESIGN.md §10); see UpdateManager::mu_ for the rationale. Cross-flow
-  // concurrency comes from the update manager running on its own strand
-  // and from the evaluator's worker pool, not from reentering here.
-  mutable std::recursive_mutex mu_;
-
-  NetworkBase* network_;
-  PeerId self_;
-  std::string node_name_;
-  Wrapper* wrapper_;
-  const NetworkConfig* config_;
-  const LinkGraph* link_graph_;
-  StatisticsModule* stats_;
-  NullMinter* minter_;
-  EvalOptions eval_;
-  std::function<bool(PeerId)> presumed_alive_;  // null = no membership
-
   // Cached instruments from stats_->metrics() (see update_manager.h).
-  Counter* m_started_;
   Counter* m_requests_in_;
   Counter* m_results_in_;
   Counter* m_results_out_;
   Counter* m_done_in_;
   Counter* m_rule_evals_;
-  Counter* m_dups_suppressed_;
-  Counter* m_root_terminations_;
-  Counter* m_aborted_;
 
-  TerminationDetector termination_;
-  ReliableSender reliable_;
-  DupFilter dup_filter_;
-  std::map<std::string, CoordinationRule> compiled_incoming_;
   std::map<FlowId, QueryState> queries_;
   std::set<FlowId> done_flood_seen_;
-  mutable std::map<std::string, PeerId> peer_cache_;
   uint64_t* query_seq_;  // owned by the node
 };
 

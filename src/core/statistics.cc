@@ -168,7 +168,8 @@ std::vector<uint8_t> StatisticsModule::SerializeAll() const {
 Result<StatsBundle> StatisticsModule::DeserializeBundle(
     const std::vector<uint8_t>& payload) {
   WireReader reader(payload);
-  CODB_ASSIGN_OR_RETURN(uint32_t count, reader.ReadU32());
+  // Every report starts with its FlowId.
+  CODB_ASSIGN_OR_RETURN(uint32_t count, reader.ReadCount(FlowId::kWireBytes));
   StatsBundle bundle;
   bundle.reports.reserve(count);
   for (uint32_t i = 0; i < count; ++i) {

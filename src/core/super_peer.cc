@@ -158,7 +158,8 @@ Result<FederationReportPayload> FederationReportPayload::Deserialize(
   FederationReportPayload out;
   CODB_ASSIGN_OR_RETURN(out.super_name, reader.ReadString());
   CODB_ASSIGN_OR_RETURN(out.nodes_reporting, reader.ReadU64());
-  CODB_ASSIGN_OR_RETURN(uint32_t count, reader.ReadU32());
+  // Every aggregate starts with its FlowId.
+  CODB_ASSIGN_OR_RETURN(uint32_t count, reader.ReadCount(FlowId::kWireBytes));
   out.aggregates.reserve(count);
   for (uint32_t i = 0; i < count; ++i) {
     CODB_ASSIGN_OR_RETURN(AggregatedUpdateStats agg,

@@ -114,6 +114,13 @@ void TerminationDetector::MaybeQuiesce() {
   }
 }
 
+void TerminationDetector::MaybeQuiesce(const FlowId& flow) {
+  auto it = flows_.find(flow);
+  if (it != flows_.end() && it->second.engaged && it->second.deficit == 0) {
+    Quiesce(flow, it->second);
+  }
+}
+
 void TerminationDetector::Quiesce(const FlowId& flow, FlowState& state) {
   if (state.root) {
     if (!state.terminated) {
@@ -133,6 +140,11 @@ void TerminationDetector::Quiesce(const FlowId& flow, FlowState& state) {
 bool TerminationDetector::IsEngaged(const FlowId& flow) const {
   auto it = flows_.find(flow);
   return it != flows_.end() && it->second.engaged;
+}
+
+bool TerminationDetector::IsTerminated(const FlowId& flow) const {
+  auto it = flows_.find(flow);
+  return it != flows_.end() && it->second.terminated;
 }
 
 uint64_t TerminationDetector::DeficitOf(const FlowId& flow) const {

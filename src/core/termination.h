@@ -68,12 +68,18 @@ class TerminationDetector {
   // sends its deferred parent ack and disengages.
   void Abort(const FlowId& flow);
 
-  // Idle check; call after processing each event. Disengages quiescent
-  // non-roots (sending the deferred parent ack) and fires termination at
-  // quiescent roots.
+  // Idle check of every flow: disengages quiescent non-roots (sending the
+  // deferred parent ack) and fires termination at quiescent roots. Needed
+  // only after OnPeerLost, the one event that touches every flow.
   void MaybeQuiesce();
 
+  // Idle check of `flow` alone; call after each event of that flow. Other
+  // flows are left untouched.
+  void MaybeQuiesce(const FlowId& flow);
+
   bool IsEngaged(const FlowId& flow) const;
+  // True once a flow rooted here terminated or was aborted.
+  bool IsTerminated(const FlowId& flow) const;
   uint64_t DeficitOf(const FlowId& flow) const;
 
  private:

@@ -1,92 +1,38 @@
 #include "core/update_manager.h"
 
-#include "core/consistency.h"
-
 #include <algorithm>
-#include <cassert>
 
 #include "obs/trace.h"
 #include "util/logging.h"
-#include "util/stopwatch.h"
 
 namespace codb {
 
-UpdateManager::UpdateManager(NetworkBase* network, PeerId self,
-                             std::string node_name, Wrapper* wrapper,
-                             const NetworkConfig* config,
-                             const LinkGraph* link_graph,
-                             StatisticsModule* stats, NullMinter* minter,
-                             uint64_t* update_seq,
+UpdateManager::UpdateManager(const Context& context, uint64_t* update_seq,
                              ExportMemory* export_memory, Options options)
-    : network_(network),
-      self_(self),
-      node_name_(std::move(node_name)),
-      wrapper_(wrapper),
-      config_(config),
-      link_graph_(link_graph),
-      stats_(stats),
-      minter_(minter),
+    : FlowEngine(FlowId::Scope::kUpdate, context),
       options_(options),
-      m_started_(stats->metrics().GetCounter("update.started")),
-      m_requests_in_(stats->metrics().GetCounter("update.requests_in")),
-      m_data_in_(stats->metrics().GetCounter("update.data_in")),
-      m_data_out_(stats->metrics().GetCounter("update.data_out")),
+      m_requests_in_(stats_->metrics().GetCounter("update.requests_in")),
+      m_data_in_(stats_->metrics().GetCounter("update.data_in")),
+      m_data_out_(stats_->metrics().GetCounter("update.data_out")),
       m_link_closed_in_(
-          stats->metrics().GetCounter("update.link_closed_in")),
-      m_acks_in_(stats->metrics().GetCounter("update.acks_in")),
-      m_completes_in_(stats->metrics().GetCounter("update.completes_in")),
-      m_rule_evals_(stats->metrics().GetCounter("update.rule_evals")),
+          stats_->metrics().GetCounter("update.link_closed_in")),
+      m_acks_in_(stats_->metrics().GetCounter("update.acks_in")),
+      m_completes_in_(stats_->metrics().GetCounter("update.completes_in")),
+      m_rule_evals_(stats_->metrics().GetCounter("update.rule_evals")),
       m_tuples_shipped_(
-          stats->metrics().GetCounter("update.tuples_shipped")),
-      m_dups_suppressed_(
-          stats->metrics().GetCounter("update.dups_suppressed")),
-      m_root_terminations_(
-          stats->metrics().GetCounter("update.root_terminations")),
-      m_aborted_(stats->metrics().GetCounter("update.aborted")),
-      m_incremental_(stats->metrics().GetCounter("update.incremental")),
-      m_delta_rows_(stats->metrics().GetCounter("update.delta_rows")),
-      m_eval_rows_(stats->metrics().GetCounter("update.eval_rows")),
+          stats_->metrics().GetCounter("update.tuples_shipped")),
+      m_incremental_(stats_->metrics().GetCounter("update.incremental")),
+      m_delta_rows_(stats_->metrics().GetCounter("update.delta_rows")),
+      m_eval_rows_(stats_->metrics().GetCounter("update.eval_rows")),
       m_memory_suppressed_(
-          stats->metrics().GetCounter("update.memory_suppressed")),
-      m_handler_us_(stats->metrics().GetHistogram("update.handler_us")),
-      m_data_tuples_(stats->metrics().GetHistogram("update.data_tuples")),
-      termination_(self, [this](PeerId to, const FlowId& flow) {
-        Tracer::Global().Instant(self_.value, "term.ack", flow.ToString());
-        AckPayload ack{flow};
-        // The D-S ack is sequenced and retransmitted: losing it would
-        // permanently wedge the receiver's deficit. It is not a basic
-        // message (no deficit of its own). Send failures are handled by
-        // the peer-lost path.
-        reliable_.Send(MakeMessage(self_, to, MessageType::kUpdateAck,
-                                   ack.Serialize()),
-                       flow, /*basic=*/false);
-      }),
-      reliable_(network, options.reliability,
-                [this](const FlowId& flow, PeerId dst, bool basic) {
-                  // Retry budget exhausted: the D-S ack for that basic
-                  // message will never come, so cancel its deficit unit
-                  // or the flow would hang at the root forever. Runs from
-                  // a retransmit timer, i.e. outside HandleMessage — take
-                  // the monitor (the sender releases its own mutex before
-                  // invoking give-up callbacks, so ordering holds).
-                  std::lock_guard<std::recursive_mutex> lock(mu_);
-                  if (basic) termination_.CancelOne(flow, dst);
-                  termination_.MaybeQuiesce();
-                },
-                stats->metrics().GetCounter("update.retransmits"),
-                stats->metrics().GetCounter("update.send_give_ups"),
-                stats->metrics().GetCounter("net.retx.bytes")),
+          stats_->metrics().GetCounter("update.memory_suppressed")),
+      m_handler_us_(stats_->metrics().GetHistogram("update.handler_us")),
+      m_data_tuples_(stats_->metrics().GetHistogram("update.data_tuples")),
       update_seq_(update_seq),
       export_memory_(export_memory) {}
 
 Status UpdateManager::Init() {
-  for (const CoordinationRule* rule : config_->IncomingOf(node_name_)) {
-    CoordinationRule compiled = *rule;
-    CODB_RETURN_IF_ERROR(
-        compiled.Compile(config_->SchemaOf(rule->exporter()),
-                         config_->SchemaOf(rule->importer())));
-    compiled_incoming_.emplace(rule->id(), std::move(compiled));
-  }
+  CODB_RETURN_IF_ERROR(FlowEngine::Init());
   if (export_memory_ != nullptr) {
     // A changed rule definition invalidates its recorded exports; the
     // fingerprint is the full rule text.
@@ -108,14 +54,6 @@ Status UpdateManager::Init() {
     }
   }
   return Status::Ok();
-}
-
-Result<PeerId> UpdateManager::ResolvePeer(const std::string& node_name) const {
-  auto it = peer_cache_.find(node_name);
-  if (it != peer_cache_.end()) return it->second;
-  CODB_ASSIGN_OR_RETURN(PeerId id, network_->FindByName(node_name));
-  peer_cache_.emplace(node_name, id);
-  return id;
 }
 
 UpdateManager::UpdateState& UpdateManager::StateOf(const FlowId& update) {
@@ -147,7 +85,6 @@ FlowId UpdateManager::StartUpdateInternal(bool refresh, bool incremental,
                                           CompletionFn on_complete) {
   std::lock_guard<std::recursive_mutex> lock(mu_);
   FlowId update{FlowId::Scope::kUpdate, self_.value, (*update_seq_)++};
-  m_started_->Add();
   if (incremental) {
     m_incremental_->Add();
     size_t delta_rows = 0;
@@ -163,39 +100,15 @@ FlowId UpdateManager::StartUpdateInternal(bool refresh, bool incremental,
   // flow descends from it via message-hop edges.
   ScopedSpan span(Tracer::Global().BeginSpan(self_.value, "update.start",
                                              update.ToString()));
-  termination_.StartRoot(update, [this](const FlowId& flow) {
-    m_root_terminations_->Add();
-    Complete(flow, /*via=*/PeerId());
+  RunRoot(update, [&] {
+    Join(update, /*via=*/PeerId(), refresh, incremental, delta);
   });
-  if (options_.reliability.enabled &&
-      options_.reliability.flow_deadline_us > 0) {
-    // Guarded by the sender's liveness token: if a reconfiguration
-    // rebuilds the manager before the deadline, the timer must not touch
-    // the dead instance.
-    std::weak_ptr<void> alive = reliable_.liveness();
-    network_->ScheduleAfter(
-        options_.reliability.flow_deadline_us, [this, alive, update] {
-          if (alive.expired()) return;
-          AbortIfIncomplete(update);
-        });
-  }
-  Join(update, /*via=*/PeerId(), refresh, incremental, delta);
-  termination_.MaybeQuiesce();
   return update;
 }
 
-void UpdateManager::AbortIfIncomplete(const FlowId& update) {
-  // Entered from the flow-deadline timer, outside HandleMessage.
-  std::lock_guard<std::recursive_mutex> lock(mu_);
-  UpdateState& state = StateOf(update);
-  if (state.complete) return;
-  CODB_LOG(kWarning) << node_name_ << ": deadline expired for "
-                     << update.ToString() << "; aborting with partial data";
-  m_aborted_->Add();
-  stats_->ReportFor(update).aborted = true;
-  termination_.Abort(update);
-  // Completion still floods so cyclic links close and per-flow state is
-  // dropped network-wide; the report carries the aborted flag.
+void UpdateManager::FinishRoot(const FlowId& update) {
+  // An aborted update still floods completion so cyclic links close and
+  // per-flow state is dropped network-wide; the report carries the flag.
   Complete(update, /*via=*/PeerId());
 }
 
@@ -241,9 +154,9 @@ void UpdateManager::Join(const FlowId& update, PeerId via, bool refresh,
   // every other node contributes nothing until deltas reach it.
   for (auto& [rule_id, link] : state.incoming) {
     if (!incremental) {
-      FireInitial(update, state, rule_id);
+      FireInitial(update, state, rule_id, /*delta=*/nullptr);
     } else if (delta != nullptr && !delta->empty()) {
-      FireInitialDelta(update, state, rule_id, *delta);
+      FireInitial(update, state, rule_id, delta);
     }
     link.initial_fired = true;
   }
@@ -251,7 +164,8 @@ void UpdateManager::Join(const FlowId& update, PeerId via, bool refresh,
 }
 
 void UpdateManager::FireInitial(const FlowId& update, UpdateState& state,
-                                const std::string& rule_id) {
+                                const std::string& rule_id,
+                                const DeltaMap* delta) {
   if (state.exports_suppressed) return;
   if (subsumed_incoming_.find(rule_id) != subsumed_incoming_.end()) return;
   const CoordinationRule& rule = compiled_incoming_.at(rule_id);
@@ -266,44 +180,19 @@ void UpdateManager::FireInitial(const FlowId& update, UpdateState& state,
     // excluding concurrent writers but not other readers.
     ShardedRWLock::ReadAllGuard read_guard(wrapper_->store_lock());
     // Work accounting for the semi-naive comparison (E17): a full eval
-    // reads every body relation end to end.
-    size_t input_rows = 0;
-    for (const std::string& relation : rule.BodyRelations()) {
-      const Relation* body = wrapper_->storage().Find(relation);
-      if (body != nullptr) input_rows += body->size();
+    // reads every body relation end to end, a delta eval the delta.
+    uint64_t input_rows = 0;
+    if (delta == nullptr) {
+      for (const std::string& relation : rule.BodyRelations()) {
+        const Relation* body = wrapper_->storage().Find(relation);
+        if (body != nullptr) input_rows += body->size();
+      }
+      frontiers = rule.EvaluateFrontier(wrapper_->storage(), eval_);
+    } else {
+      frontiers = rule.EvaluateFrontierDeltas(wrapper_->storage(), *delta,
+                                              eval_, &input_rows);
     }
     m_eval_rows_->Add(input_rows);
-    frontiers = rule.EvaluateFrontier(wrapper_->storage(), options_.eval);
-  }
-  span.End();
-  ShipFrontiers(update, state, rule_id, std::move(frontiers),
-                /*path=*/{self_.value});
-}
-
-void UpdateManager::FireInitialDelta(const FlowId& update,
-                                     UpdateState& state,
-                                     const std::string& rule_id,
-                                     const DeltaMap& delta) {
-  if (state.exports_suppressed) return;
-  if (subsumed_incoming_.find(rule_id) != subsumed_incoming_.end()) return;
-  const CoordinationRule& rule = compiled_incoming_.at(rule_id);
-  m_rule_evals_->Add();
-  ScopedSpan span(
-      Tracer::Global().BeginSpanHere("update.rule_eval", update.ToString()));
-  Tracer::Global().AddArg(span.id(), "rule", rule_id);
-  std::vector<Tuple> frontiers;
-  for (const auto& [relation, rows] : delta) {
-    bool referenced =
-        std::find_if(rule.query().body.begin(), rule.query().body.end(),
-                     [&](const Atom& atom) {
-                       return atom.predicate == relation;
-                     }) != rule.query().body.end();
-    if (!referenced || rows.empty()) continue;
-    m_eval_rows_->Add(rows.size());
-    ShardedRWLock::ReadAllGuard read_guard(wrapper_->store_lock());
-    std::vector<Tuple> partial = rule.EvaluateFrontierDelta(
-        wrapper_->storage(), relation, rows, options_.eval);
-    frontiers.insert(frontiers.end(), partial.begin(), partial.end());
   }
   span.End();
   ShipFrontiers(update, state, rule_id, std::move(frontiers),
@@ -392,13 +281,9 @@ void UpdateManager::ShipFrontiers(const FlowId& update, UpdateState& state,
 
     std::vector<uint8_t> payload = data.Serialize();
     size_t bytes = payload.size() + Message::kHeaderBytes;
-    Status sent = reliable_.Send(MakeMessage(self_, importer.value(),
-                                             MessageType::kUpdateData,
-                                             std::move(payload)),
-                                 update, /*basic=*/true);
-    if (!sent.ok()) {
-      CODB_LOG(kDebug) << node_name_ << ": data ship on " << rule_id
-                       << " failed: " << sent.ToString();
+    if (!SendBasic(update, importer.value(), MessageType::kUpdateData,
+                   std::move(payload))
+             .ok()) {
       // Conservative un-record of the whole batch: the frontiers that DID
       // ship get re-derived and re-shipped by a later update, which the
       // importer's set semantics absorbs; a frontier silently recorded as
@@ -406,7 +291,6 @@ void UpdateManager::ShipFrontiers(const FlowId& update, UpdateState& state,
       if (use_memory) export_memory_->Forget(rule_id, fresh);
       return;
     }
-    termination_.OnSent(update, importer.value());
     m_data_out_->Add();
     m_tuples_shipped_->Add(data.tuples.size());
 
@@ -420,60 +304,9 @@ void UpdateManager::ShipFrontiers(const FlowId& update, UpdateState& state,
   report.result_destinations.insert(importer.value().value);
 }
 
-bool UpdateManager::AcceptDelivery(const Message& message) {
-  if (message.seq == 0) return true;  // unsequenced sender
-  Result<FlowId> flow = PeekFlowId(message.payload);
-  if (!flow.ok()) return true;  // let the normal parse path report it
-  // Receipt first, whatever the verdict: the sender may be retransmitting
-  // precisely because the previous receipt was lost, and a parked message
-  // is safely buffered here.
-  DeliveryAckPayload receipt{flow.value(), message.seq};
-  network_->Send(MakeMessage(self_, message.src, MessageType::kDeliveryAck,
-                             receipt.Serialize()));
-  switch (dup_filter_.Check(flow.value(), message.src, message.seq)) {
-    case DupFilter::Verdict::kDeliver:
-      return true;
-    case DupFilter::Verdict::kDuplicate:
-      // Already processed. Crucially this also protects the termination
-      // detector: a duplicated engaging message must not trigger a second
-      // D-S ack while the first engagement is still pending.
-      m_dups_suppressed_->Add();
-      return false;
-    case DupFilter::Verdict::kHold:
-      // A gap precedes it: the retransmission of a dropped message is on
-      // its way. Processing out of order would let e.g. a LinkClosed
-      // overtake the data sent before it, so park until the gap fills.
-      dup_filter_.Hold(flow.value(), message.src, message);
-      return false;
-  }
-  return false;
-}
-
-void UpdateManager::DrainReady(const Message& delivered) {
-  if (delivered.seq == 0) return;
-  Result<FlowId> flow = PeekFlowId(delivered.payload);
-  if (!flow.ok()) return;
-  while (std::optional<Message> ready =
-             dup_filter_.NextReady(flow.value(), delivered.src)) {
-    // Re-enters HandleMessage, where Check() now classifies it as the
-    // in-order delivery it has become.
-    HandleMessage(*ready);
-  }
-}
-
-void UpdateManager::HandleMessage(const Message& message) {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
-  Stopwatch wall;
-  if (message.type == MessageType::kDeliveryAck) {
-    Result<DeliveryAckPayload> receipt =
-        DeliveryAckPayload::Deserialize(message.payload);
-    if (receipt.ok()) {
-      reliable_.OnDeliveryAck(receipt.value().flow, message.src,
-                              receipt.value().acked_seq);
-    }
-    return;
-  }
-  if (!AcceptDelivery(message)) return;
+void UpdateManager::Dispatch(const FlowId& /*update*/,
+                             const Message& message) {
+  // Each handler reads the update id from its full payload.
   switch (message.type) {
     case MessageType::kUpdateRequest:
       OnRequest(message);
@@ -487,37 +320,29 @@ void UpdateManager::HandleMessage(const Message& message) {
     case MessageType::kUpdateComplete:
       OnComplete(message);
       break;
-    case MessageType::kUpdateAck: {
-      Result<AckPayload> ack = AckPayload::Deserialize(message.payload);
-      if (ack.ok()) {
-        m_acks_in_->Add();
-        ScopedSpan span(Tracer::Global().BeginSpanHere(
-            "update.ack", ack.value().flow.ToString()));
-        termination_.OnAck(ack.value().flow, message.src);
-      }
-      break;
-    }
     default:
       CODB_LOG(kWarning) << node_name_ << ": update manager got unexpected "
                          << MessageTypeName(message.type);
       break;
   }
-  termination_.MaybeQuiesce();
-  m_handler_us_->Record(wall.ElapsedMicros());
-  // Wall time is attributed to the most recently touched update inside the
-  // handlers; approximating with "all active updates" would double-count,
-  // so handlers record into the report directly where needed. Here we only
-  // account the envelope-level cost for data messages (the dominant cost).
-  if (message.type == MessageType::kUpdateData) {
-    Result<UpdateDataPayload> parsed =
-        UpdateDataPayload::Deserialize(message.payload);
-    if (parsed.ok()) {
-      stats_->ReportFor(parsed.value().update).wall_micros +=
-          static_cast<double>(wall.ElapsedMicros());
-    }
+}
+
+void UpdateManager::OnAck(const FlowId& update, PeerId from) {
+  m_acks_in_->Add();
+  ScopedSpan span(
+      Tracer::Global().BeginSpanHere("update.ack", update.ToString()));
+  FlowEngine::OnAck(update, from);
+}
+
+void UpdateManager::OnHandled(const FlowId& update, MessageType type,
+                              int64_t wall_us) {
+  m_handler_us_->Record(wall_us);
+  // Wall time is attributed per update only for data messages, the
+  // dominant cost; handlers record anything finer into the report
+  // directly.
+  if (type == MessageType::kUpdateData) {
+    stats_->ReportFor(update).wall_micros += static_cast<double>(wall_us);
   }
-  // This delivery may have filled the gap in front of parked arrivals.
-  DrainReady(message);
 }
 
 void UpdateManager::OnRequest(const Message& message) {
@@ -532,7 +357,6 @@ void UpdateManager::OnRequest(const Message& message) {
   m_requests_in_->Add();
   ScopedSpan span(
       Tracer::Global().BeginSpanHere("update.request", update.ToString()));
-  termination_.OnBasicMessage(update, message.src);
   Join(update, message.src, parsed.value().refresh,
        parsed.value().incremental);
 }
@@ -555,7 +379,6 @@ void UpdateManager::OnData(const Message& message) {
   ScopedSpan span(
       Tracer::Global().BeginSpanHere("update.data", update.ToString()));
   Tracer::Global().AddArg(span.id(), "rule", data.rule_id);
-  termination_.OnBasicMessage(update, message.src);
   // Data can only come from a joined acquaintance, which always floods the
   // request first on the same FIFO pipe — but a pipe created mid-update
   // (dynamic topology) can skip that, so join defensively (the refresh
@@ -638,20 +461,14 @@ void UpdateManager::OnData(const Message& message) {
     ScopedSpan eval_span(Tracer::Global().BeginSpanHere(
         "update.rule_eval", update.ToString()));
     Tracer::Global().AddArg(eval_span.id(), "rule", dependent);
+    uint64_t input_rows = 0;
     std::vector<Tuple> frontiers;
-    for (const auto& [relation, rows] : delta) {
-      bool referenced =
-          std::find_if(rule.query().body.begin(), rule.query().body.end(),
-                       [&](const Atom& atom) {
-                         return atom.predicate == relation;
-                       }) != rule.query().body.end();
-      if (!referenced) continue;
-      m_eval_rows_->Add(rows.size());
+    {
       ShardedRWLock::ReadAllGuard read_guard(wrapper_->store_lock());
-      std::vector<Tuple> partial = rule.EvaluateFrontierDelta(
-          wrapper_->storage(), relation, rows, options_.eval);
-      frontiers.insert(frontiers.end(), partial.begin(), partial.end());
+      frontiers = rule.EvaluateFrontierDeltas(wrapper_->storage(), delta,
+                                              eval_, &input_rows);
     }
+    m_eval_rows_->Add(input_rows);
     eval_span.End();
     ShipFrontiers(update, state, dependent, std::move(frontiers),
                   extended_path);
@@ -672,7 +489,6 @@ void UpdateManager::OnLinkClosed(const Message& message) {
   ScopedSpan span(Tracer::Global().BeginSpanHere("update.link_closed",
                                                  update.ToString()));
   Tracer::Global().AddArg(span.id(), "rule", parsed.value().rule_id);
-  termination_.OnBasicMessage(update, message.src);
   Join(update, message.src, /*refresh=*/false, /*incremental=*/false);
   UpdateState& state = StateOf(update);
   auto it = state.outgoing.find(parsed.value().rule_id);
@@ -689,14 +505,11 @@ bool UpdateManager::OutgoingQuiet(const UpdateState& state,
   if (it->second.closed) return true;
   const CoordinationRule* rule = config_->FindRule(rule_id);
   if (rule == nullptr) return true;
-  // Churn: an unreachable exporter can never deliver again.
+  // Churn: an unreachable exporter can never deliver again. Membership
+  // eviction counts as unreachable even while the pipe object lingers
+  // (silent death never snaps the pipe).
   Result<PeerId> exporter = ResolvePeer(rule->exporter());
-  if (!exporter.ok()) return true;
-  // Membership eviction counts as unreachable even while the pipe object
-  // lingers (silent death never snaps the pipe).
-  return !network_->HasPipe(self_, exporter.value()) ||
-         !network_->IsAlive(exporter.value()) ||
-         (presumed_alive_ != nullptr && !presumed_alive_(exporter.value()));
+  return !exporter.ok() || !Reachable(exporter.value());
 }
 
 void UpdateManager::CheckClosing(const FlowId& update, UpdateState& state) {
@@ -759,16 +572,10 @@ void UpdateManager::Complete(const FlowId& update, PeerId via) {
   }
   report.complete_virtual_us = network_->now_us();
 
-  // Flood completion (not a basic message; the computation is over). The
-  // flood is still sequenced + retransmitted: a lost completion would
-  // leave cyclic links open forever on the receiving side.
-  UpdateCompletePayload payload{update};
-  for (PeerId neighbor : Acquaintances()) {
-    if (neighbor == via) continue;
-    reliable_.Send(MakeMessage(self_, neighbor, MessageType::kUpdateComplete,
-                               payload.Serialize()),
-                   update, /*basic=*/false);
-  }
+  // A lost completion would leave cyclic links open forever on the
+  // receiving side; the flood is sequenced and retransmitted.
+  Flood(update, MessageType::kUpdateComplete,
+        UpdateCompletePayload{update}.Serialize(), /*skip=*/via);
   CODB_LOG(kInfo) << node_name_ << ": " << update.ToString() << " complete";
 
   // Root-side completion callback, exactly once: the state.complete guard
@@ -796,49 +603,10 @@ void UpdateManager::OnComplete(const Message& message) {
   Complete(parsed.value().update, message.src);
 }
 
-void UpdateManager::HandlePipeClosed(PeerId other) {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
-  reliable_.OnPeerLost(other);
-  termination_.OnPeerLost(other);
+void UpdateManager::OnPeerLost() {
   for (auto& [update, state] : updates_) {
     if (!state.complete) CheckClosing(update, state);
   }
-  termination_.MaybeQuiesce();
-}
-
-void UpdateManager::SendBasic(const FlowId& update, PeerId dst,
-                              MessageType type,
-                              std::vector<uint8_t> payload) {
-  Status sent = reliable_.Send(
-      MakeMessage(self_, dst, type, std::move(payload)), update,
-      /*basic=*/true);
-  if (sent.ok()) {
-    termination_.OnSent(update, dst);
-  } else {
-    CODB_LOG(kDebug) << node_name_ << ": send " << MessageTypeName(type)
-                     << " to " << dst.ToString()
-                     << " failed: " << sent.ToString();
-  }
-}
-
-std::vector<PeerId> UpdateManager::Acquaintances() const {
-  std::vector<PeerId> out;
-  for (const std::string& name : config_->AcquaintancesOf(node_name_)) {
-    Result<PeerId> peer = ResolvePeer(name);
-    if (peer.ok() && network_->IsAlive(peer.value()) &&
-        network_->HasPipe(self_, peer.value()) &&
-        (presumed_alive_ == nullptr || presumed_alive_(peer.value()))) {
-      out.push_back(peer.value());
-    }
-  }
-  return out;
-}
-
-bool UpdateManager::LocallyInconsistent() const {
-  const NodeDecl* decl = config_->FindNode(node_name_);
-  if (decl == nullptr || decl->keys.empty()) return false;
-  ShardedRWLock::ReadAllGuard read_guard(wrapper_->store_lock());
-  return !FindKeyViolations(wrapper_->storage(), decl->keys).empty();
 }
 
 bool UpdateManager::IsJoined(const FlowId& update) const {

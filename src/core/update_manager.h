@@ -31,26 +31,17 @@
 
 #include <functional>
 #include <map>
-#include <memory>
-#include <mutex>
 #include <set>
 #include <string>
 #include <unordered_set>
 #include <vector>
 
-#include "core/config.h"
 #include "core/export_memory.h"
-#include "core/link_graph.h"
-#include "core/protocol.h"
-#include "core/reliability.h"
-#include "core/statistics.h"
-#include "core/termination.h"
-#include "net/network_interface.h"
-#include "wrapper/wrapper.h"
+#include "core/flow_engine.h"
 
 namespace codb {
 
-class UpdateManager {
+class UpdateManager : public FlowEngine {
  public:
   struct Options {
     // T' = T \ R receiver-side dedup. Off: every received tuple is treated
@@ -70,13 +61,6 @@ class UpdateManager {
     // normally; they just never carry data the subsuming rule ships
     // anyway.
     bool skip_subsumed = false;
-    // At-least-once delivery (core/reliability.h). Off by default: the
-    // fault-free runtimes keep their historical message counts.
-    ReliabilityOptions reliability;
-    // Execution options for this manager's rule evaluations: thread pool +
-    // fan-out for the partitioned-join path (query/evaluator.h). The
-    // defaults keep the historical sequential evaluator.
-    EvalOptions eval;
   };
 
   // Per-relation batch of inserted tuples: the seed of an incremental
@@ -87,8 +71,6 @@ class UpdateManager {
   // deadline aborts — check the report's `aborted` flag).
   using CompletionFn = std::function<void(const FlowId&)>;
 
-  // All pointers must outlive the manager. `node_name` is this node's name
-  // in `config`.
   // `update_seq` is the node-owned counter of started updates; it lives
   // outside the manager so ids stay unique across reconfigurations.
   // `export_memory` is the node-owned cross-update export memory
@@ -96,14 +78,12 @@ class UpdateManager {
   // `update_seq` does. Null disables cross-update dedup (incremental
   // updates then re-ship previously exported frontiers, which importers
   // absorb through set semantics).
-  UpdateManager(NetworkBase* network, PeerId self, std::string node_name,
-                Wrapper* wrapper, const NetworkConfig* config,
-                const LinkGraph* link_graph, StatisticsModule* stats,
-                NullMinter* minter, uint64_t* update_seq,
+  UpdateManager(const Context& context, uint64_t* update_seq,
                 ExportMemory* export_memory, Options options);
 
-  // Compiles this node's incoming links. Must succeed before any traffic.
-  Status Init();
+  // Compiles this node's incoming links and syncs the export memory with
+  // them. Must succeed before any traffic.
+  Status Init() override;
 
   // Starts a global update from this node (it becomes the root of the
   // diffusing computation). A *refresh* update additionally drops every
@@ -124,22 +104,6 @@ class UpdateManager {
   FlowId StartIncrementalUpdate(DeltaMap delta,
                                 CompletionFn on_complete = nullptr);
 
-  // Routed by the node: kUpdateRequest/kUpdateData/kLinkClosed/
-  // kUpdateComplete, plus kUpdateAck with update scope.
-  void HandleMessage(const Message& message);
-
-  // Churn notification from the node. Also the membership eviction path:
-  // an evicted peer gets the same treatment as a snapped pipe.
-  void HandlePipeClosed(PeerId other);
-
-  // Liveness predicate supplied by the node's membership layer: peers for
-  // which it returns false (evicted) are excluded from Acquaintances()
-  // and treated as permanently quiet exporters. Null = everyone reachable
-  // is presumed alive (the historical behaviour).
-  void SetPresumedAlive(std::function<bool(PeerId)> predicate) {
-    presumed_alive_ = std::move(predicate);
-  }
-
   // -- introspection (reports, tests, benches) ----------------------------
 
   bool IsJoined(const FlowId& update) const;
@@ -156,11 +120,6 @@ class UpdateManager {
   // Ids of this node's links (for the node report).
   std::vector<std::string> OutgoingLinkIds() const;
   std::vector<std::string> IncomingLinkIds() const;
-
-  // Unacked sequenced messages still held for retransmission. The
-  // eviction tests assert this drops to zero the moment a dead peer is
-  // evicted, instead of draining through the full retry backoff.
-  uint64_t PendingReliable() const { return reliable_.pending_count(); }
 
  private:
   struct IncomingLinkState {  // we are the exporter: we ship data
@@ -187,6 +146,16 @@ class UpdateManager {
 
   UpdateState& StateOf(const FlowId& update);
 
+  // FlowEngine hooks: kUpdateRequest/kUpdateData/kLinkClosed/
+  // kUpdateComplete; root completion; ack and handler instrumentation;
+  // link re-closing after a peer loss.
+  void Dispatch(const FlowId& update, const Message& message) override;
+  void FinishRoot(const FlowId& update) override;
+  void OnAck(const FlowId& update, PeerId from) override;
+  void OnHandled(const FlowId& update, MessageType type,
+                 int64_t wall_us) override;
+  void OnPeerLost() override;
+
   // Shared root-side start path of StartUpdate/StartIncrementalUpdate.
   FlowId StartUpdateInternal(bool refresh, bool incremental,
                              const DeltaMap* delta,
@@ -204,15 +173,12 @@ class UpdateManager {
   void OnLinkClosed(const Message& message);
   void OnComplete(const Message& message);
 
-  // Evaluates + ships the initial content of incoming link `rule_id`.
+  // Evaluates + ships the initial content of incoming link `rule_id`:
+  // over the whole local store, or, with a `delta` (semi-naive initial
+  // firing at the initiator), over each delta relation its body reads —
+  // work proportional to the delta, not the store.
   void FireInitial(const FlowId& update, UpdateState& state,
-                   const std::string& rule_id);
-
-  // Semi-naive initial firing at the initiator: evaluates `rule_id` with
-  // each delta relation its body references substituted, and ships the
-  // union — work proportional to the delta, not the store.
-  void FireInitialDelta(const FlowId& update, UpdateState& state,
-                        const std::string& rule_id, const DeltaMap& delta);
+                   const std::string& rule_id, const DeltaMap* delta);
 
   // Dedups `frontiers` against the sent-set, instantiates heads, ships.
   void ShipFrontiers(const FlowId& update, UpdateState& state,
@@ -232,51 +198,10 @@ class UpdateManager {
   // Marks the update complete locally and floods kUpdateComplete onward.
   void Complete(const FlowId& update, PeerId via);
 
-  // Flow-deadline expiry at the root: reports the update aborted and
-  // completes it with whatever data arrived. No-op if already complete.
-  void AbortIfIncomplete(const FlowId& update);
-
-  // Receipt-acks a sequenced message, filters duplicates and parks
-  // out-of-order arrivals. Returns false when the message must not be
-  // processed now (already seen, or a gap precedes it).
-  bool AcceptDelivery(const Message& message);
-
-  // Processes parked arrivals that `delivered` made next-in-order.
-  void DrainReady(const Message& delivered);
-
-  // Sends a basic protocol message and books the deficit.
-  void SendBasic(const FlowId& update, PeerId dst, MessageType type,
-                 std::vector<uint8_t> payload);
-
-  Result<PeerId> ResolvePeer(const std::string& node_name) const;
-
-  // Alive, pipe-connected rule acquaintances (flood targets).
-  std::vector<PeerId> Acquaintances() const;
-
-  // True when this node's store violates its own key constraints.
-  bool LocallyInconsistent() const;
-
-  // Monitor serializing this manager's handlers and timers (DESIGN.md
-  // §10): with concurrent flow admission, the update flow's strand, the
-  // reliability timers, and introspection calls from other threads all
-  // enter here. Recursive because the single-threaded simulator delivers
-  // nested callbacks (pipe-closed, give-ups) from within a handler.
-  mutable std::recursive_mutex mu_;
-
-  NetworkBase* network_;
-  PeerId self_;
-  std::string node_name_;
-  Wrapper* wrapper_;
-  const NetworkConfig* config_;
-  const LinkGraph* link_graph_;
-  StatisticsModule* stats_;
-  NullMinter* minter_;
   Options options_;
-  std::function<bool(PeerId)> presumed_alive_;  // null = no membership
 
   // Cached instruments from stats_->metrics(); registered once here so the
   // handler hot paths are plain relaxed-atomic increments.
-  Counter* m_started_;
   Counter* m_requests_in_;
   Counter* m_data_in_;
   Counter* m_data_out_;
@@ -285,9 +210,6 @@ class UpdateManager {
   Counter* m_completes_in_;
   Counter* m_rule_evals_;
   Counter* m_tuples_shipped_;
-  Counter* m_dups_suppressed_;
-  Counter* m_root_terminations_;
-  Counter* m_aborted_;
   // Semi-naive instrumentation: incremental updates started here, delta
   // rows they were seeded with, rows fed into rule evaluations (full
   // evals charge the body relations' sizes; delta evals the delta), and
@@ -299,15 +221,10 @@ class UpdateManager {
   Histogram* m_handler_us_;
   Histogram* m_data_tuples_;
 
-  TerminationDetector termination_;
-  ReliableSender reliable_;
-  DupFilter dup_filter_;
-  std::map<std::string, CoordinationRule> compiled_incoming_;
   std::set<std::string> subsumed_incoming_;  // skip_subsumed option
   std::map<FlowId, UpdateState> updates_;
   // Root-side completion callbacks, fired exactly once from Complete().
   std::map<FlowId, CompletionFn> completions_;
-  mutable std::map<std::string, PeerId> peer_cache_;
   uint64_t* update_seq_;        // owned by the node
   ExportMemory* export_memory_;  // owned by the node; may be null
 };

@@ -38,7 +38,8 @@ Result<HeartbeatPayload> HeartbeatPayload::Deserialize(
   CODB_ASSIGN_OR_RETURN(out.incarnation, reader.ReadU64());
   CODB_ASSIGN_OR_RETURN(out.seq, reader.ReadU64());
   CODB_ASSIGN_OR_RETURN(out.send_time_us, reader.ReadI64());
-  CODB_ASSIGN_OR_RETURN(uint32_t count, reader.ReadU32());
+  // Each digest entry is peer u32 + incarnation u64 + health u8.
+  CODB_ASSIGN_OR_RETURN(uint32_t count, reader.ReadCount(4 + 8 + 1));
   out.digest.reserve(count);
   for (uint32_t i = 0; i < count; ++i) {
     HeartbeatDigestEntry entry;

@@ -21,8 +21,8 @@ enum class MessageType : uint16_t {
   kAdvertisement = 1,
 
   // coDB protocol (core layer). Declared here so the envelope is complete;
-  // payload formats live in core/protocol.h.
-  kConfigBroadcast = 10,
+  // payload formats live in core/protocol.h. Value 10 was the retired
+  // full-text config broadcast; do not reuse it.
   kUpdateRequest = 11,
   kUpdateData = 12,
   kLinkClosed = 13,
@@ -103,8 +103,6 @@ inline const char* MessageTypeName(MessageType type) {
   switch (type) {
     case MessageType::kAdvertisement:
       return "ADVERTISEMENT";
-    case MessageType::kConfigBroadcast:
-      return "CONFIG_BROADCAST";
     case MessageType::kUpdateRequest:
       return "UPDATE_REQUEST";
     case MessageType::kUpdateData:

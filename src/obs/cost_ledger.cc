@@ -45,7 +45,6 @@ CostClass ClassifyMessage(MessageType type, bool retransmit) {
       return CostClass::kAck;
     case MessageType::kAdvertisement:
       return CostClass::kDiscovery;
-    case MessageType::kConfigBroadcast:
     case MessageType::kConfigSlice:
     case MessageType::kConfigDelta:
     case MessageType::kConfigFetch:

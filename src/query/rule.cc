@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <iterator>
 #include <map>
 
 namespace codb {
@@ -95,6 +96,23 @@ std::vector<Tuple> CoordinationRule::EvaluateFrontierDelta(
   assert(compiled_ && "Compile() must succeed before evaluation");
   return compiled_->body.EvaluateDelta(exporter_db, delta_relation, delta,
                                        options);
+}
+
+std::vector<Tuple> CoordinationRule::EvaluateFrontierDeltas(
+    const Database& exporter_db,
+    const std::map<std::string, std::vector<Tuple>>& deltas,
+    const EvalOptions& options, uint64_t* rows_read) const {
+  assert(compiled_ && "Compile() must succeed before evaluation");
+  std::vector<Tuple> frontiers;
+  for (const auto& [relation, rows] : deltas) {
+    if (rows.empty() || !compiled_->body.UsesRelation(relation)) continue;
+    if (rows_read != nullptr) *rows_read += rows.size();
+    std::vector<Tuple> partial =
+        compiled_->body.EvaluateDelta(exporter_db, relation, rows, options);
+    frontiers.insert(frontiers.end(), std::make_move_iterator(partial.begin()),
+                     std::make_move_iterator(partial.end()));
+  }
+  return frontiers;
 }
 
 std::vector<HeadTuple> CoordinationRule::InstantiateHead(

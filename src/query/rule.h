@@ -22,6 +22,7 @@
 #define CODB_QUERY_RULE_H_
 
 #include <atomic>
+#include <map>
 #include <optional>
 #include <string>
 #include <vector>
@@ -112,6 +113,14 @@ class CoordinationRule {
                                            const std::string& delta_relation,
                                            const std::vector<Tuple>& delta,
                                            const EvalOptions& options) const;
+
+  // The semi-naive step for a batch of per-relation deltas: the union of
+  // EvaluateFrontierDelta over every non-empty delta relation the body
+  // reads, in relation order. Adds the delta rows fed in to `rows_read`.
+  std::vector<Tuple> EvaluateFrontierDeltas(
+      const Database& exporter_db,
+      const std::map<std::string, std::vector<Tuple>>& deltas,
+      const EvalOptions& options, uint64_t* rows_read = nullptr) const;
 
   // Head tuples for one frontier binding; mints one fresh null per
   // existential variable, shared across this firing's head atoms.

@@ -32,7 +32,8 @@ std::vector<uint8_t> WriteAheadLog::Serialize() const {
 Result<WriteAheadLog> WriteAheadLog::Deserialize(
     const std::vector<uint8_t>& bytes) {
   WireReader reader(bytes);
-  CODB_ASSIGN_OR_RETURN(uint32_t count, reader.ReadU32());
+  // Each entry is at least a relation-name length and a tuple arity.
+  CODB_ASSIGN_OR_RETURN(uint32_t count, reader.ReadCount(4 + 2));
   WriteAheadLog wal;
   wal.entries_.reserve(count);
   for (uint32_t i = 0; i < count; ++i) {

@@ -184,8 +184,18 @@ Result<Tuple> WireReader::ReadTuple() {
   return Tuple(values);
 }
 
-Result<std::vector<Tuple>> WireReader::ReadTuples() {
+Result<uint32_t> WireReader::ReadCount(size_t min_element_bytes) {
   CODB_ASSIGN_OR_RETURN(uint32_t count, ReadU32());
+  if (count > remaining() / min_element_bytes) {
+    return Status::ParseError("wire: count " + std::to_string(count) +
+                              " exceeds the " + std::to_string(remaining()) +
+                              " bytes left");
+  }
+  return count;
+}
+
+Result<std::vector<Tuple>> WireReader::ReadTuples() {
+  CODB_ASSIGN_OR_RETURN(uint32_t count, ReadCount(/*arity*/ 2));
   std::vector<Tuple> tuples;
   tuples.reserve(count);
   for (uint32_t i = 0; i < count; ++i) {
@@ -196,7 +206,7 @@ Result<std::vector<Tuple>> WireReader::ReadTuples() {
 }
 
 Result<std::vector<std::string>> WireReader::ReadStringList() {
-  CODB_ASSIGN_OR_RETURN(uint32_t count, ReadU32());
+  CODB_ASSIGN_OR_RETURN(uint32_t count, ReadCount(/*length*/ 4));
   std::vector<std::string> strings;
   strings.reserve(count);
   for (uint32_t i = 0; i < count; ++i) {
@@ -207,7 +217,7 @@ Result<std::vector<std::string>> WireReader::ReadStringList() {
 }
 
 Result<std::vector<uint32_t>> WireReader::ReadU32List() {
-  CODB_ASSIGN_OR_RETURN(uint32_t count, ReadU32());
+  CODB_ASSIGN_OR_RETURN(uint32_t count, ReadCount(4));
   std::vector<uint32_t> values;
   values.reserve(count);
   for (uint32_t i = 0; i < count; ++i) {

@@ -58,6 +58,11 @@ class WireReader {
   Result<std::vector<std::string>> ReadStringList();
   Result<std::vector<uint32_t>> ReadU32List();
 
+  // Reads a u32 element count and rejects any count the remaining bytes
+  // cannot hold at `min_element_bytes` (> 0) each, so a corrupt length
+  // prefix fails the parse instead of sizing an allocation.
+  Result<uint32_t> ReadCount(size_t min_element_bytes);
+
   bool AtEnd() const { return pos_ == size_; }
   size_t remaining() const { return size_ - pos_; }
 

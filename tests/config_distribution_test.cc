@@ -135,10 +135,6 @@ TEST(ConfigDistributionTest, SliceConfiguredNetworkMatchesFullConfig) {
     ASSERT_TRUE(testbed.ok()) << testbed.status().ToString();
     Testbed& bed = *testbed.value();
 
-    // The legacy full-file broadcast is gone from the wire.
-    EXPECT_EQ(bed.network().stats().MessagesOfType(
-                  MessageType::kConfigBroadcast),
-              0u);
     EXPECT_GT(bed.network().stats().MessagesOfType(MessageType::kConfigSlice),
               0u);
 

@@ -54,10 +54,12 @@ TEST(MessageTest, WireSizeIsHeaderPlusPayload) {
 }
 
 TEST(MessageTest, EveryTypeHasAName) {
-  for (uint16_t raw : {1, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21}) {
+  for (uint16_t raw : {1, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21}) {
     EXPECT_STRNE(MessageTypeName(static_cast<MessageType>(raw)),
                  "UNKNOWN");
   }
+  // 10 was the retired full-text config broadcast.
+  EXPECT_STREQ(MessageTypeName(static_cast<MessageType>(10)), "UNKNOWN");
   EXPECT_STREQ(MessageTypeName(static_cast<MessageType>(999)), "UNKNOWN");
 }
 

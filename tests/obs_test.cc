@@ -401,7 +401,7 @@ TEST(MetricsTest, MergeClampsOutOfRangeBuckets) {
 // Every wire type, for replaying the transport's per-type counters
 // through the same classifier the ledger uses.
 constexpr MessageType kAllMessageTypes[] = {
-    MessageType::kAdvertisement,  MessageType::kConfigBroadcast,
+    MessageType::kAdvertisement,
     MessageType::kUpdateRequest,  MessageType::kUpdateData,
     MessageType::kLinkClosed,     MessageType::kUpdateAck,
     MessageType::kUpdateComplete, MessageType::kQueryRequest,

@@ -240,6 +240,8 @@ TEST_F(TerminationTest, AbortAtRootSkipsTerminationCallback) {
   detector_.OnAck(flow_, PeerId(1));
   detector_.MaybeQuiesce();
   EXPECT_TRUE(terminated.empty());
+  // Still terminated, so a deadline firing later finds nothing to abort.
+  EXPECT_TRUE(detector_.IsTerminated(flow_));
 }
 
 TEST_F(TerminationTest, AbortAtNonRootSendsDeferredParentAck) {
@@ -251,6 +253,45 @@ TEST_F(TerminationTest, AbortAtNonRootSendsDeferredParentAck) {
   EXPECT_EQ(acks_sent[0].first, PeerId(7));
   EXPECT_FALSE(detector_.IsEngaged(flow_));
   EXPECT_EQ(detector_.DeficitOf(flow_), 0u);
+}
+
+TEST_F(TerminationTest, PerFlowCheckQuiescesOnlyTheNamedFlow) {
+  // Three idle flows: two engaged non-roots and a root.
+  const FlowId other{FlowId::Scope::kQuery, 0, 2};
+  const FlowId rooted{FlowId::Scope::kUpdate, 0, 3};
+  detector_.OnBasicMessage(flow_, PeerId(7));
+  detector_.OnBasicMessage(other, PeerId(8));
+  detector_.StartRoot(rooted, OnTerminated());
+
+  detector_.MaybeQuiesce(flow_);
+  ASSERT_EQ(acks_sent.size(), 1u);
+  EXPECT_EQ(acks_sent[0].first, PeerId(7));
+  EXPECT_EQ(acks_sent[0].second, flow_);
+  EXPECT_FALSE(detector_.IsEngaged(flow_));
+  // Every other flow is untouched, idle as it is.
+  EXPECT_TRUE(detector_.IsEngaged(other));
+  EXPECT_TRUE(terminated.empty());
+  EXPECT_FALSE(detector_.IsTerminated(rooted));
+
+  detector_.MaybeQuiesce(rooted);
+  ASSERT_EQ(terminated.size(), 1u);
+  EXPECT_EQ(terminated[0], rooted);
+  EXPECT_TRUE(detector_.IsTerminated(rooted));
+  EXPECT_TRUE(detector_.IsEngaged(other));
+  EXPECT_EQ(acks_sent.size(), 1u);
+
+  // An unknown flow is a no-op, and creates no state.
+  const FlowId unknown{FlowId::Scope::kUpdate, 9, 9};
+  detector_.MaybeQuiesce(unknown);
+  EXPECT_EQ(acks_sent.size(), 1u);
+  EXPECT_FALSE(detector_.IsEngaged(unknown));
+  EXPECT_FALSE(detector_.IsTerminated(unknown));
+
+  // The all-flows sweep still reaches the rest.
+  detector_.MaybeQuiesce();
+  ASSERT_EQ(acks_sent.size(), 2u);
+  EXPECT_EQ(acks_sent[1].second, other);
+  EXPECT_EQ(terminated.size(), 1u);
 }
 
 }  // namespace

@@ -4,6 +4,10 @@
 #include <gtest/gtest.h>
 
 #include "core/protocol.h"
+#include "core/statistics.h"
+#include "core/super_peer.h"
+#include "membership/heartbeat.h"
+#include "relation/wal.h"
 #include "relation/wire.h"
 
 namespace codb {
@@ -101,6 +105,45 @@ TEST(WireTest, TruncatedInputReportsParseError) {
   }
 }
 
+TEST(WireTest, CountReadRejectsWhatTheBytesCannotHold) {
+  // Count 2, then 8 bytes: two 4-byte elements fit, two 5-byte ones not.
+  std::vector<uint8_t> bytes = {2, 0, 0, 0, 1, 2, 3, 4, 5, 6, 7, 8};
+  WireReader fits(bytes);
+  Result<uint32_t> count = fits.ReadCount(4);
+  ASSERT_TRUE(count.ok());
+  EXPECT_EQ(count.value(), 2u);
+  WireReader overlong(bytes);
+  EXPECT_EQ(overlong.ReadCount(5).status().code(), StatusCode::kParseError);
+}
+
+TEST(WireTest, InflatedListCountsFailWithoutAllocating) {
+  // A 0xFFFFFFFF count in front of a few bytes: every list decoder must
+  // reject it before sizing an allocation (CI also runs this binary under
+  // a 4 GiB address-space cap, where an unbounded reserve would throw).
+  const std::vector<uint8_t> inflated = {0xFF, 0xFF, 0xFF, 0xFF,
+                                         1,    2,    3,    4,   5, 6, 7, 8};
+  WireReader tuples(inflated);
+  EXPECT_FALSE(tuples.ReadTuples().ok());
+  WireReader strings(inflated);
+  EXPECT_FALSE(strings.ReadStringList().ok());
+  WireReader u32s(inflated);
+  EXPECT_FALSE(u32s.ReadU32List().ok());
+  WireReader head_tuples(inflated);
+  EXPECT_FALSE(ReadHeadTuples(head_tuples).ok());
+  EXPECT_FALSE(StatisticsModule::DeserializeBundle(inflated).ok());
+  EXPECT_FALSE(WriteAheadLog::Deserialize(inflated).ok());
+  std::vector<uint8_t> beacon(24, 0);  // incarnation, seq, send time
+  beacon.insert(beacon.end(), inflated.begin(), inflated.end());
+  EXPECT_FALSE(HeartbeatPayload::Deserialize(beacon).ok());
+  WireWriter federation;
+  federation.WriteString("super");
+  federation.WriteU64(1);  // nodes reporting
+  std::vector<uint8_t> federation_bytes = federation.Take();
+  federation_bytes.insert(federation_bytes.end(), inflated.begin(),
+                          inflated.end());
+  EXPECT_FALSE(FederationReportPayload::Deserialize(federation_bytes).ok());
+}
+
 TEST(WireTest, CorruptValueTagRejected) {
   std::vector<uint8_t> bytes = {0x77};  // no such type tag
   WireReader reader(bytes);
@@ -172,13 +215,6 @@ TEST(ProtocolTest, AllSmallPayloadsRoundTrip) {
       QueryRequestPayload::Deserialize(request.Serialize());
   ASSERT_TRUE(request_back.ok());
   EXPECT_EQ(request_back.value().label, (std::vector<uint32_t>{7, 8}));
-
-  ConfigBroadcastPayload config{12, "node n0\n"};
-  Result<ConfigBroadcastPayload> config_back =
-      ConfigBroadcastPayload::Deserialize(config.Serialize());
-  ASSERT_TRUE(config_back.ok());
-  EXPECT_EQ(config_back.value().version, 12u);
-  EXPECT_EQ(config_back.value().config_text, "node n0\n");
 }
 
 TEST(ProtocolTest, FlowIdOrderingAndNames) {

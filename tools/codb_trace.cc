@@ -138,7 +138,7 @@ std::string NodeLabel(const Trace& trace, uint64_t node) {
 // accounting.
 std::string ClassOfTypeName(const std::string& type_name) {
   static const MessageType kAllTypes[] = {
-      MessageType::kAdvertisement,  MessageType::kConfigBroadcast,
+      MessageType::kAdvertisement,
       MessageType::kUpdateRequest,  MessageType::kUpdateData,
       MessageType::kLinkClosed,     MessageType::kUpdateAck,
       MessageType::kUpdateComplete, MessageType::kQueryRequest,
