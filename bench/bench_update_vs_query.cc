@@ -13,7 +13,9 @@
 // latency is flat and near zero; the crossover favours the batch update
 // after a handful of queries.
 
+#include <algorithm>
 #include <cstdio>
+#include <vector>
 
 #include "bench_util.h"
 #include "query/parser.h"
@@ -142,21 +144,28 @@ void Run() {
   }
 
   // -- E17: semi-naive incremental update, delta-size sweep ---------------
-  // A chain whose stores total ~100k rows, synchronized once; then one
-  // incremental update per delta size. The work metric is
-  // update.eval_rows, charged with full body-relation scans on the full
-  // path and with delta row counts on the semi-naive path — so the ratio
-  // is the paper-level claim "update work proportional to the delta, not
-  // the database". The binary gates itself: if the 10-row delta does not
-  // beat the full recompute by 10x in eval rows, exit non-zero.
+  // A chain whose stores total ~100k rows, synchronized once; then ten
+  // incremental updates per delta size, each over fresh rows. The work
+  // metric is update.eval_rows, charged with full body-relation scans on
+  // the full path and with delta row counts on the semi-naive path — so
+  // the ratio is the paper-level claim "update work proportional to the
+  // delta, not the database". The first update after the sync is reported
+  // apart from the steady state (the median of the other nine), because
+  // any dedup state the full update left behind is paid for there. The
+  // binary gates itself at the 10-row point and exits non-zero when the
+  // delta does not beat the full recompute by 10x in eval rows, or when
+  // the first update's wall exceeds max(5x the steady wall, 2 ms).
   Print("\nE17: incremental (semi-naive) update vs full recompute"
         " (chain 5x20000)\n");
-  Print("%8s | %12s %12s | %12s %12s | %8s\n", "delta", "incr wall",
-        "incr virt", "incr rows", "full rows", "ratio");
+  Print("%8s | %12s %12s %12s | %12s %12s | %8s\n", "delta", "first wall",
+        "steady wall", "incr virt", "incr rows", "full rows", "ratio");
   constexpr int kIncrNodes = 5;
   constexpr int kIncrTuples = 20000;  // ~100k rows network-wide
+  constexpr int kIncrUpdates = 10;    // per delta size: first + 9 steady
   uint64_t gate_full = 0;
   uint64_t gate_incr = 0;
+  double gate_first_ms = 0;
+  double gate_steady_ms = 0;
   for (int delta_size : {1, 10, 100, 10000}) {
     WorkloadOptions options;
     options.nodes = kIncrNodes;
@@ -183,60 +192,88 @@ void Run() {
     bed->network().Run();
     const uint64_t full_rows = eval_rows();
 
-    // Fresh keys clear of every node's seeded range.
-    std::vector<Tuple> delta;
-    delta.reserve(static_cast<size_t>(delta_size));
-    for (int64_t j = 0; j < delta_size; ++j) {
-      delta.push_back(
-          Tuple{Value::Int(10'000'000 + j), Value::Int(j % 100)});
-    }
-    if (!bed->node(initiator)->InsertLocal("d", delta).ok()) {
-      std::fprintf(stderr, "E17: InsertLocal failed\n");
-      std::exit(1);
-    }
+    double first_wall_ms = 0;
+    int64_t first_virtual = 0;
+    uint64_t first_rows = 0;
+    std::vector<double> steady_walls_ms;
+    for (int run = 0; run < kIncrUpdates; ++run) {
+      // Fresh keys clear of every node's seeded range and earlier runs.
+      std::vector<Tuple> delta;
+      delta.reserve(static_cast<size_t>(delta_size));
+      for (int64_t j = 0; j < delta_size; ++j) {
+        delta.push_back(Tuple{Value::Int(10'000'000 + run * 1'000'000 + j),
+                              Value::Int(j % 100)});
+      }
+      if (!bed->node(initiator)->InsertLocal("d", delta).ok()) {
+        std::fprintf(stderr, "E17: InsertLocal failed\n");
+        std::exit(1);
+      }
 
-    int64_t start_virtual = bed->network().now_us();
-    Stopwatch wall;
-    bed->node(initiator)->StartIncrementalUpdate().value();
-    bed->network().Run();
-    double incr_wall_ms = wall.ElapsedSeconds() * 1000.0;
-    int64_t incr_virtual = bed->network().now_us() - start_virtual;
-    const uint64_t incr_rows = eval_rows() - full_rows;
+      const uint64_t rows_before = eval_rows();
+      int64_t start_virtual = bed->network().now_us();
+      Stopwatch wall;
+      bed->node(initiator)->StartIncrementalUpdate().value();
+      bed->network().Run();
+      const double wall_ms = wall.ElapsedSeconds() * 1000.0;
+      if (run == 0) {
+        first_wall_ms = wall_ms;
+        first_virtual = bed->network().now_us() - start_virtual;
+        first_rows = eval_rows() - rows_before;
+      } else {
+        steady_walls_ms.push_back(wall_ms);
+      }
+    }
+    std::sort(steady_walls_ms.begin(), steady_walls_ms.end());
+    const double steady_wall_ms = steady_walls_ms[steady_walls_ms.size() / 2];
     const double ratio =
-        incr_rows > 0 ? static_cast<double>(full_rows) /
-                            static_cast<double>(incr_rows)
-                      : 0.0;
+        first_rows > 0 ? static_cast<double>(full_rows) /
+                             static_cast<double>(first_rows)
+                       : 0.0;
     if (delta_size == 10) {
       gate_full = full_rows;
-      gate_incr = incr_rows;
+      gate_incr = first_rows;
+      gate_first_ms = first_wall_ms;
+      gate_steady_ms = steady_wall_ms;
     }
 
     std::string scenario = "incremental/delta" + std::to_string(delta_size);
     if (JsonMode()) {
       JsonValue obj = JsonValue::Object();
       obj.Set("scenario", JsonValue::Str(scenario));
-      obj.Set("update_wall_ms", JsonValue::Number(incr_wall_ms));
-      obj.Set("virtual_us", JsonValue::Int(incr_virtual));
-      obj.Set("incr_eval_rows", JsonValue::Uint(incr_rows));
+      obj.Set("update_wall_ms", JsonValue::Number(first_wall_ms));
+      obj.Set("steady_update_wall_ms", JsonValue::Number(steady_wall_ms));
+      obj.Set("virtual_us", JsonValue::Int(first_virtual));
+      obj.Set("incr_eval_rows", JsonValue::Uint(first_rows));
       obj.Set("full_eval_rows", JsonValue::Uint(full_rows));
-      obj.Set("delta_rows", JsonValue::Uint(delta.size()));
+      obj.Set("delta_rows", JsonValue::Uint(static_cast<uint64_t>(delta_size)));
       obj.Set("eval_rows_ratio", JsonValue::Number(ratio));
       RecordJson(std::move(obj));
     }
-    Print("%8d | %10.1fms %10lldus | %12llu %12llu | %7.0fx\n", delta_size,
-          incr_wall_ms, static_cast<long long>(incr_virtual),
-          static_cast<unsigned long long>(incr_rows),
+    Print("%8d | %10.2fms %10.2fms %10lldus | %12llu %12llu | %7.0fx\n",
+          delta_size, first_wall_ms, steady_wall_ms,
+          static_cast<long long>(first_virtual),
+          static_cast<unsigned long long>(first_rows),
           static_cast<unsigned long long>(full_rows), ratio);
   }
-  Print("\nincr rows = update.eval_rows charged to the incremental run;\n"
-        "semi-naive work tracks the delta while the full recompute scans\n"
-        "the whole store.\n");
+  Print("\nfirst wall / incr virt / incr rows: the first incremental update\n"
+        "after the sync; steady wall: median of the next %d. incr rows =\n"
+        "update.eval_rows charged to that first run; semi-naive work tracks\n"
+        "the delta while the full recompute scans the whole store.\n",
+        kIncrUpdates - 1);
   if (gate_incr == 0 || gate_full < 10 * gate_incr) {
     std::fprintf(stderr,
                  "E17 GATE FAILED: 10-row delta eval rows %llu vs full "
                  "recompute %llu (need >= 10x)\n",
                  static_cast<unsigned long long>(gate_incr),
                  static_cast<unsigned long long>(gate_full));
+    std::exit(1);
+  }
+  if (gate_first_ms > std::max(5 * gate_steady_ms, 2.0)) {
+    std::fprintf(stderr,
+                 "E17 GATE FAILED: first 10-row incremental update took "
+                 "%.2f ms vs %.2f ms steady (need <= max(5x steady, "
+                 "2 ms))\n",
+                 gate_first_ms, gate_steady_ms);
     std::exit(1);
   }
 }

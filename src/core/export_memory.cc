@@ -5,34 +5,55 @@ namespace codb {
 void ExportMemory::SyncRules(
     const std::map<std::string, std::string>& fingerprints) {
   std::lock_guard<std::mutex> lock(mu_);
-  for (auto it = rules_.begin(); it != rules_.end();) {
-    auto want = fingerprints.find(it->first);
-    if (want == fingerprints.end()) {
-      it = rules_.erase(it);
-      continue;
-    }
-    if (it->second.fingerprint != want->second) {
-      it->second.sent.clear();
-      it->second.fingerprint = want->second;
-    }
-    ++it;
-  }
+  std::erase_if(rules_, [&](const auto& entry) {
+    return fingerprints.count(entry.first) == 0;
+  });
   for (const auto& [rule_id, fingerprint] : fingerprints) {
-    auto [it, inserted] = rules_.try_emplace(rule_id);
-    if (inserted) it->second.fingerprint = fingerprint;
+    RuleMemory& memory = rules_[rule_id];
+    if (memory.fingerprint != fingerprint) {
+      memory.shipped.clear();
+      memory.fingerprint = fingerprint;
+    }
   }
+}
+
+uint64_t ExportMemory::NewEpoch() {
+  std::lock_guard<std::mutex> lock(mu_);
+  return next_epoch_++;
+}
+
+size_t ExportMemory::Admit(const std::string& rule_id, uint64_t epoch,
+                           bool incremental, std::vector<Tuple>& frontiers) {
+  std::lock_guard<std::mutex> lock(mu_);
+  std::unordered_map<Tuple, uint64_t, TupleHash>& shipped =
+      rules_[rule_id].shipped;
+  size_t suppressed = 0;
+  // erase_if visits the frontiers in order, so a batch's first copy of a
+  // frontier is the one that stays.
+  std::erase_if(frontiers, [&](const Tuple& frontier) {
+    auto [it, inserted] = shipped.try_emplace(frontier, epoch);
+    if (inserted) return false;
+    if (it->second == epoch) return true;  // this flow shipped it already
+    if (incremental) {
+      ++suppressed;  // an earlier flow shipped it
+      return true;
+    }
+    it->second = epoch;  // a full flow restates it
+    return false;
+  });
+  return suppressed;
 }
 
 bool ExportMemory::Record(const std::string& rule_id, const Tuple& frontier) {
   std::lock_guard<std::mutex> lock(mu_);
-  return rules_[rule_id].sent.insert(frontier).second;
+  return rules_[rule_id].shipped.try_emplace(frontier, 0).second;
 }
 
 bool ExportMemory::Seen(const std::string& rule_id,
                         const Tuple& frontier) const {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = rules_.find(rule_id);
-  return it != rules_.end() && it->second.sent.count(frontier) != 0;
+  return it != rules_.end() && it->second.shipped.count(frontier) != 0;
 }
 
 void ExportMemory::Forget(const std::string& rule_id,
@@ -40,19 +61,12 @@ void ExportMemory::Forget(const std::string& rule_id,
   std::lock_guard<std::mutex> lock(mu_);
   auto it = rules_.find(rule_id);
   if (it == rules_.end()) return;
-  for (const Tuple& frontier : frontiers) it->second.sent.erase(frontier);
+  for (const Tuple& frontier : frontiers) it->second.shipped.erase(frontier);
 }
 
 void ExportMemory::Reset() {
   std::lock_guard<std::mutex> lock(mu_);
-  for (auto& [rule_id, memory] : rules_) memory.sent.clear();
-}
-
-size_t ExportMemory::TotalFrontiers() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  size_t total = 0;
-  for (const auto& [rule_id, memory] : rules_) total += memory.sent.size();
-  return total;
+  for (auto& [rule_id, memory] : rules_) memory.shipped.clear();
 }
 
 }  // namespace codb

@@ -1,13 +1,21 @@
-// Per-link export memory: which frontiers this node has already shipped
-// to each importer, persisted ACROSS global updates (DESIGN.md §14).
+// Per-link export memory: which frontiers this node has shipped to each
+// importer, and which update flow shipped each one last (DESIGN.md §14).
+// It is the only record of what a link has shipped, and it owns the
+// whole "already shipped?" decision.
 //
-// The per-update sent-sets inside UpdateManager dedup re-derivations
-// within one update; incremental (semi-naive) updates additionally need
-// to know what every PREVIOUS update exported, or a delta firing would
-// re-ship — and, for rules with existential head variables, re-mint nulls
-// for — frontiers the importer already holds. The memory lives in the
-// Node (like the update sequence counter) so it survives the manager
-// rebuilds a reconfiguration performs.
+// Every update flow gets an epoch from NewEpoch() when the node first
+// sees it, and each entry carries the epoch of the flow that last shipped
+// it. For one shipment of flow e, Admit() keeps a frontier when
+//   * it has no entry — new, recorded with e;
+//   * its entry is an earlier flow's and e is a full flow — a full update
+//     restates every export, so it re-ships and re-tags it with e;
+// and drops it when
+//   * its entry carries e — flow e already shipped it;
+//   * its entry is an earlier flow's and e is incremental — the importer
+//     holds it, so the semi-naive flow must not re-ship (or, for rules
+//     with existential head variables, re-mint nulls for) it.
+// The memory lives in the Node (like the update sequence counter) so it
+// survives the manager rebuilds a reconfiguration performs.
 //
 // Invariant: a recorded frontier has been handed to the reliability
 // layer for shipment to the importer. On a send failure the caller
@@ -20,10 +28,11 @@
 #ifndef CODB_CORE_EXPORT_MEMORY_H_
 #define CODB_CORE_EXPORT_MEMORY_H_
 
+#include <cstdint>
 #include <map>
 #include <mutex>
 #include <string>
-#include <unordered_set>
+#include <unordered_map>
 #include <vector>
 
 #include "relation/tuple.h"
@@ -39,14 +48,25 @@ class ExportMemory {
   // manager's Init on every reconfiguration.
   void SyncRules(const std::map<std::string, std::string>& fingerprints);
 
-  // Records `frontier` as exported on `rule_id`; returns true when it
-  // was not recorded before.
-  bool Record(const std::string& rule_id, const Tuple& frontier);
+  // A fresh epoch for an update flow this node has just seen. Never 0
+  // and never reused, also across manager rebuilds.
+  uint64_t NewEpoch();
 
-  // True when `frontier` was already recorded as exported on `rule_id`.
+  // One shipment of flow `epoch` on `rule_id`: removes from `frontiers`
+  // (keeping the order of the rest) every frontier the flow must not
+  // ship, and records the rest as shipped by `epoch`. Returns how many
+  // were dropped because an earlier flow shipped them (incremental flows
+  // only).
+  size_t Admit(const std::string& rule_id, uint64_t epoch, bool incremental,
+               std::vector<Tuple>& frontiers);
+
+  // Per-tuple forms. Record marks `frontier` shipped outside any flow
+  // (epoch 0, earlier than every flow) and returns true when it had no
+  // entry; Seen tells whether it has one.
+  bool Record(const std::string& rule_id, const Tuple& frontier);
   bool Seen(const std::string& rule_id, const Tuple& frontier) const;
 
-  // Un-records a batch whose shipment failed, so a later update may
+  // Un-records a batch whose shipment failed, so a later shipment may
   // re-derive and re-ship it.
   void Forget(const std::string& rule_id,
               const std::vector<Tuple>& frontiers);
@@ -54,19 +74,18 @@ class ExportMemory {
   // Drops everything (refresh updates: every export is restated).
   void Reset();
 
-  // Total recorded frontiers across all rules (tests, reports).
-  size_t TotalFrontiers() const;
-
  private:
   struct RuleMemory {
     std::string fingerprint;
-    std::unordered_set<Tuple, TupleHash> sent;
+    // Shipped frontier -> epoch of the flow that shipped it last.
+    std::unordered_map<Tuple, uint64_t, TupleHash> shipped;
   };
 
   // Own mutex (not the manager's): after a reconfiguration the old
   // manager may still drain in-flight flows on strands while the new one
   // is already live, and both point here.
   mutable std::mutex mu_;
+  uint64_t next_epoch_ = 1;
   std::map<std::string, RuleMemory> rules_;
 };
 

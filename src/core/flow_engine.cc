@@ -41,7 +41,7 @@ FlowEngine::FlowEngine(FlowId::Scope scope, const Context& context)
           MetricName(scope, "root_terminations"))),
       m_aborted_(stats_->metrics().GetCounter(MetricName(scope, "aborted"))),
       termination_(context.self, [this](PeerId to, const FlowId& flow) {
-        Tracer::Global().Instant(self_.value, "term.ack", flow.ToString());
+        Tracer::Global().Instant(self_.value, "term.ack", TraceTag(flow));
         // The D-S ack is sequenced and retransmitted: losing it would
         // permanently wedge the receiver's deficit. It is not a basic
         // message (no deficit of its own). Send failures are handled by
@@ -237,6 +237,10 @@ bool FlowEngine::LocallyInconsistent() const {
   if (decl == nullptr || decl->keys.empty()) return false;
   ShardedRWLock::ReadAllGuard read_guard(wrapper_->store_lock());
   return !FindKeyViolations(wrapper_->storage(), decl->keys).empty();
+}
+
+std::string FlowEngine::TraceTag(const FlowId& flow) {
+  return Tracer::Global().enabled() ? flow.ToString() : std::string();
 }
 
 }  // namespace codb

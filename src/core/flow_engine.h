@@ -140,6 +140,11 @@ class FlowEngine {
   // True when this node's store violates its own key constraints.
   bool LocallyInconsistent() const;
 
+  // The flow tag of a trace span or instant: `flow`'s string while
+  // tracing is on, empty otherwise (a disabled tracer records nothing),
+  // so untraced handlers never format flow ids.
+  static std::string TraceTag(const FlowId& flow);
+
   // Monitor serializing the engine's handlers, timers and introspection
   // (DESIGN.md §10): with concurrent flow admission, flow strands,
   // reliability timers and calls from other threads all enter here.

@@ -225,7 +225,7 @@ Status Node::ApplyConfigLocked(const NetworkConfig& config,
   context.eval.pool = pool_.get();
   context.eval.min_parallel_rows = options_.exec.min_parallel_rows;
   update_manager_ = std::make_shared<UpdateManager>(
-      context, &update_seq_, &export_memory_, options_.update);
+      context, &update_seq_, export_memory_, options_.update);
   query_manager_ = std::make_shared<QueryManager>(context, &query_seq_);
   CODB_RETURN_IF_ERROR(update_manager_->Init());
   CODB_RETURN_IF_ERROR(query_manager_->Init());

@@ -59,7 +59,7 @@ Result<FlowId> QueryManager::StartQuery(const ConjunctiveQuery& query,
   FlowId id{FlowId::Scope::kQuery, self_.value, (*query_seq_)++};
   // Root span of the diffusing query computation.
   ScopedSpan span(
-      Tracer::Global().BeginSpan(self_.value, "query.start", id.ToString()));
+      Tracer::Global().BeginSpan(self_.value, "query.start", TraceTag(id)));
   QueryState& state = StateOf(id);
   state.owned = true;
   state.user_query = query;
@@ -145,7 +145,7 @@ void QueryManager::OnRequest(const Message& message) {
   QueryRequestPayload request = std::move(parsed).value();
   m_requests_in_->Add();
   ScopedSpan span(Tracer::Global().BeginSpanHere(
-      "query.request", request.query.ToString()));
+      "query.request", TraceTag(request.query)));
   Tracer::Global().AddArg(span.id(), "rule", request.rule_id);
 
   auto rule_it = compiled_incoming_.find(request.rule_id);
@@ -184,7 +184,7 @@ void QueryManager::Serve(
 
   m_rule_evals_->Add();
   ScopedSpan span(
-      Tracer::Global().BeginSpanHere("query.serve", query.ToString()));
+      Tracer::Global().BeginSpanHere("query.serve", TraceTag(query)));
   Tracer::Global().AddArg(span.id(), "rule", rule_id);
 
   // The overlay is private to this query and only touched under the
@@ -237,7 +237,7 @@ void QueryManager::OnResult(const Message& message) {
   QueryResultPayload result = std::move(parsed).value();
   m_results_in_->Add();
   ScopedSpan span(Tracer::Global().BeginSpanHere(
-      "query.result", result.query.ToString()));
+      "query.result", TraceTag(result.query)));
   Tracer::Global().AddArg(span.id(), "rule", result.rule_id);
 
   QueryState& state = StateOf(result.query);

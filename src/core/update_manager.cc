@@ -8,7 +8,7 @@
 namespace codb {
 
 UpdateManager::UpdateManager(const Context& context, uint64_t* update_seq,
-                             ExportMemory* export_memory, Options options)
+                             ExportMemory& export_memory, Options options)
     : FlowEngine(FlowId::Scope::kUpdate, context),
       options_(options),
       m_requests_in_(stats_->metrics().GetCounter("update.requests_in")),
@@ -33,15 +33,13 @@ UpdateManager::UpdateManager(const Context& context, uint64_t* update_seq,
 
 Status UpdateManager::Init() {
   CODB_RETURN_IF_ERROR(FlowEngine::Init());
-  if (export_memory_ != nullptr) {
-    // A changed rule definition invalidates its recorded exports; the
-    // fingerprint is the full rule text.
-    std::map<std::string, std::string> fingerprints;
-    for (const auto& [rule_id, rule] : compiled_incoming_) {
-      fingerprints.emplace(rule_id, rule.ToString());
-    }
-    export_memory_->SyncRules(fingerprints);
+  // A changed rule definition invalidates its recorded exports; the
+  // fingerprint is the full rule text.
+  std::map<std::string, std::string> fingerprints;
+  for (const auto& [rule_id, rule] : compiled_incoming_) {
+    fingerprints.emplace(rule_id, rule.ToString());
   }
+  export_memory_.SyncRules(fingerprints);
   if (options_.skip_subsumed) {
     for (const auto& [subsumed, subsuming] :
          config_->FindSubsumedRules()) {
@@ -59,6 +57,7 @@ Status UpdateManager::Init() {
 UpdateManager::UpdateState& UpdateManager::StateOf(const FlowId& update) {
   auto [it, inserted] = updates_.try_emplace(update);
   if (inserted) {
+    it->second.epoch = export_memory_.NewEpoch();
     for (const CoordinationRule* rule : config_->IncomingOf(node_name_)) {
       it->second.incoming.emplace(rule->id(), IncomingLinkState());
     }
@@ -99,7 +98,7 @@ FlowId UpdateManager::StartUpdateInternal(bool refresh, bool incremental,
   // Root span of the whole diffusing computation: every other span of this
   // flow descends from it via message-hop edges.
   ScopedSpan span(Tracer::Global().BeginSpan(self_.value, "update.start",
-                                             update.ToString()));
+                                             TraceTag(update)));
   RunRoot(update, [&] {
     Join(update, /*via=*/PeerId(), refresh, incremental, delta);
   });
@@ -136,7 +135,7 @@ void UpdateManager::Join(const FlowId& update, PeerId via, bool refresh,
   // every export from scratch, so the export memory starts over.
   if (refresh) {
     wrapper_->DropImported();
-    if (export_memory_ != nullptr) export_memory_->Reset();
+    export_memory_.Reset();
   }
 
   // "These acquaintances ... propagate the global update to their
@@ -171,7 +170,7 @@ void UpdateManager::FireInitial(const FlowId& update, UpdateState& state,
   const CoordinationRule& rule = compiled_incoming_.at(rule_id);
   m_rule_evals_->Add();
   ScopedSpan span(
-      Tracer::Global().BeginSpanHere("update.rule_eval", update.ToString()));
+      Tracer::Global().BeginSpanHere("update.rule_eval", TraceTag(update)));
   Tracer::Global().AddArg(span.id(), "rule", rule_id);
   std::vector<Tuple> frontiers;
   {
@@ -203,57 +202,28 @@ void UpdateManager::ShipFrontiers(const FlowId& update, UpdateState& state,
                                   const std::string& rule_id,
                                   std::vector<Tuple> frontiers,
                                   const std::vector<uint32_t>& path) {
-  IncomingLinkState& link = state.incoming.at(rule_id);
   const CoordinationRule& rule = compiled_incoming_.at(rule_id);
 
   ScopedSpan span(
-      Tracer::Global().BeginSpanHere("update.ship", update.ToString()));
+      Tracer::Global().BeginSpanHere("update.ship", TraceTag(update)));
   Tracer::Global().AddArg(span.id(), "rule", rule_id);
 
-  // Cross-update export memory (DESIGN.md §14): recorded for every update
-  // (so later incremental updates know what full updates shipped), but
-  // only *deduped against* for incremental updates — full updates keep
-  // their historical per-update dedup, re-shipping across updates as they
-  // always did. Disabled together with dedup_sent (ablation E6).
-  const bool use_memory =
-      export_memory_ != nullptr && options_.dedup_sent;
-  std::vector<Tuple> fresh;
-  fresh.reserve(frontiers.size());
-  if (options_.dedup_sent) {
-    // Geometric growth only — an exact-size reserve per shipment would
-    // force a full rehash of the dedup set on every call.
-    size_t needed = link.sent_frontiers.size() + frontiers.size();
-    size_t ceiling = static_cast<size_t>(
-        static_cast<float>(link.sent_frontiers.bucket_count()) *
-        link.sent_frontiers.max_load_factor());
-    if (needed > ceiling) {
-      link.sent_frontiers.reserve(std::max(needed, ceiling * 2));
-    }
-  }
-  for (Tuple& frontier : frontiers) {
-    if (use_memory && state.incremental &&
-        export_memory_->Seen(rule_id, frontier)) {
-      m_memory_suppressed_->Add();
-      continue;  // a previous update already exported it
-    }
-    if (options_.dedup_sent) {
-      if (!link.sent_frontiers.insert(frontier).second) continue;
-    }
-    if (use_memory) export_memory_->Record(rule_id, frontier);
-    fresh.push_back(std::move(frontier));
-  }
-  if (fresh.empty()) return;
-
+  if (frontiers.empty()) return;
   Result<PeerId> importer = ResolvePeer(rule.importer());
-  if (!importer.ok()) {
-    // Importer gone; nothing was shipped, so nothing may stay recorded.
-    if (use_memory) export_memory_->Forget(rule_id, fresh);
-    return;
+  if (!importer.ok()) return;  // importer gone: nothing to ship or record
+
+  // The export memory (DESIGN.md §14) drops what this flow already
+  // shipped and, for an incremental flow, what earlier flows shipped.
+  // Disabled with dedup_sent (ablation E6).
+  if (options_.dedup_sent) {
+    m_memory_suppressed_->Add(export_memory_.Admit(
+        rule_id, state.epoch, state.incremental, frontiers));
+    if (frontiers.empty()) return;
   }
 
   std::vector<HeadTuple> tuples;
-  tuples.reserve(fresh.size());
-  for (const Tuple& frontier : fresh) {
+  tuples.reserve(frontiers.size());
+  for (const Tuple& frontier : frontiers) {
     rule.InstantiateHeadInto(frontier, *minter_, tuples);
   }
 
@@ -285,10 +255,10 @@ void UpdateManager::ShipFrontiers(const FlowId& update, UpdateState& state,
                    std::move(payload))
              .ok()) {
       // Conservative un-record of the whole batch: the frontiers that DID
-      // ship get re-derived and re-shipped by a later update, which the
-      // importer's set semantics absorbs; a frontier silently recorded as
-      // exported but never delivered would be missed forever.
-      if (use_memory) export_memory_->Forget(rule_id, fresh);
+      // ship may be re-derived and re-shipped later, which the importer's
+      // set semantics absorbs; a frontier silently recorded as exported
+      // but never delivered would be missed forever.
+      if (options_.dedup_sent) export_memory_.Forget(rule_id, frontiers);
       return;
     }
     m_data_out_->Add();
@@ -330,7 +300,7 @@ void UpdateManager::Dispatch(const FlowId& /*update*/,
 void UpdateManager::OnAck(const FlowId& update, PeerId from) {
   m_acks_in_->Add();
   ScopedSpan span(
-      Tracer::Global().BeginSpanHere("update.ack", update.ToString()));
+      Tracer::Global().BeginSpanHere("update.ack", TraceTag(update)));
   FlowEngine::OnAck(update, from);
 }
 
@@ -356,7 +326,7 @@ void UpdateManager::OnRequest(const Message& message) {
   const FlowId update = parsed.value().update;
   m_requests_in_->Add();
   ScopedSpan span(
-      Tracer::Global().BeginSpanHere("update.request", update.ToString()));
+      Tracer::Global().BeginSpanHere("update.request", TraceTag(update)));
   Join(update, message.src, parsed.value().refresh,
        parsed.value().incremental);
 }
@@ -377,7 +347,7 @@ void UpdateManager::OnData(const Message& message) {
   // the golden trace test matches their count against the statistics
   // module's data_messages_received.
   ScopedSpan span(
-      Tracer::Global().BeginSpanHere("update.data", update.ToString()));
+      Tracer::Global().BeginSpanHere("update.data", TraceTag(update)));
   Tracer::Global().AddArg(span.id(), "rule", data.rule_id);
   // Data can only come from a joined acquaintance, which always floods the
   // request first on the same FIFO pipe — but a pipe created mid-update
@@ -459,7 +429,7 @@ void UpdateManager::OnData(const Message& message) {
 
     m_rule_evals_->Add();
     ScopedSpan eval_span(Tracer::Global().BeginSpanHere(
-        "update.rule_eval", update.ToString()));
+        "update.rule_eval", TraceTag(update)));
     Tracer::Global().AddArg(eval_span.id(), "rule", dependent);
     uint64_t input_rows = 0;
     std::vector<Tuple> frontiers;
@@ -487,7 +457,7 @@ void UpdateManager::OnLinkClosed(const Message& message) {
   const FlowId update = parsed.value().update;
   m_link_closed_in_->Add();
   ScopedSpan span(Tracer::Global().BeginSpanHere("update.link_closed",
-                                                 update.ToString()));
+                                                 TraceTag(update)));
   Tracer::Global().AddArg(span.id(), "rule", parsed.value().rule_id);
   Join(update, message.src, /*refresh=*/false, /*incremental=*/false);
   UpdateState& state = StateOf(update);
@@ -599,7 +569,7 @@ void UpdateManager::OnComplete(const Message& message) {
   }
   m_completes_in_->Add();
   ScopedSpan span(Tracer::Global().BeginSpanHere(
-      "update.complete", parsed.value().update.ToString()));
+      "update.complete", TraceTag(parsed.value().update)));
   Complete(parsed.value().update, message.src);
 }
 

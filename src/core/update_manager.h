@@ -7,14 +7,15 @@
 //
 //   join(u):      flood UpdateRequest(u) to all acquaintances (dedup by u);
 //                 for every incoming link i, evaluate its body over the
-//                 local store, dedup against the per-link sent-set, mint
-//                 fresh marked nulls for existential head variables, and
-//                 ship the head tuples with path label [n].
+//                 local store, drop the frontiers the export memory says u
+//                 already shipped on i, mint fresh marked nulls for
+//                 existential head variables, and ship the head tuples
+//                 with path label [n].
 //
 //   data(u,o,T,P): T' = T \ R; R += T' (set semantics); for every incoming
 //                 link i dependent on o whose importer m' is not on P∪{n},
-//                 recompute i semi-naively with delta T', dedup against the
-//                 sent-set of i, and forward with label P+[n].
+//                 recompute i semi-naively with delta T', dedup through
+//                 the export memory, and forward with label P+[n].
 //
 //   closing:      an incoming link i closes when n has joined, fired i's
 //                 initial evaluation, and every outgoing link relevant for
@@ -33,7 +34,6 @@
 #include <map>
 #include <set>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 #include "core/export_memory.h"
@@ -48,8 +48,8 @@ class UpdateManager : public FlowEngine {
     // as a delta even when already stored (ablation E6; storage stays a
     // set either way).
     bool dedup_received = true;
-    // Frontier sent-sets per incoming link. Off: recomputed results are
-    // re-shipped every time (ablation E6).
+    // Export-memory dedup of shipped frontiers per incoming link. Off:
+    // recomputed results are re-shipped every time (ablation E6).
     bool dedup_sent = true;
     // Maximum head tuples per kUpdateData message; larger result sets are
     // split into consecutive batches on the same pipe (FIFO keeps them
@@ -73,13 +73,11 @@ class UpdateManager : public FlowEngine {
 
   // `update_seq` is the node-owned counter of started updates; it lives
   // outside the manager so ids stay unique across reconfigurations.
-  // `export_memory` is the node-owned cross-update export memory
+  // `export_memory` is the node-owned record of shipped frontiers
   // (DESIGN.md §14); it outlives the manager for the same reason
-  // `update_seq` does. Null disables cross-update dedup (incremental
-  // updates then re-ship previously exported frontiers, which importers
-  // absorb through set semantics).
+  // `update_seq` does.
   UpdateManager(const Context& context, uint64_t* update_seq,
-                ExportMemory* export_memory, Options options);
+                ExportMemory& export_memory, Options options);
 
   // Compiles this node's incoming links and syncs the export memory with
   // them. Must succeed before any traffic.
@@ -125,17 +123,18 @@ class UpdateManager : public FlowEngine {
   struct IncomingLinkState {  // we are the exporter: we ship data
     bool closed = false;
     bool initial_fired = false;
-    std::unordered_set<Tuple, TupleHash> sent_frontiers;
   };
   struct OutgoingLinkState {  // we are the importer: we receive data
     bool closed = false;
   };
   struct UpdateState {
+    // This flow's export-memory epoch, given when the node first sees it.
+    uint64_t epoch = 0;
     bool joined = false;
     bool complete = false;
     // Semi-naive update: initial firing is delta-seeded (initiator) or
-    // skipped (everyone else), and shipments dedup against the
-    // cross-update export memory.
+    // skipped (everyone else), and shipments skip what earlier flows
+    // exported.
     bool incremental = false;
     // Local inconsistency at join time: exports are suppressed for the
     // whole update (paper principle (d)).
@@ -180,7 +179,8 @@ class UpdateManager : public FlowEngine {
   void FireInitial(const FlowId& update, UpdateState& state,
                    const std::string& rule_id, const DeltaMap* delta);
 
-  // Dedups `frontiers` against the sent-set, instantiates heads, ships.
+  // Dedups `frontiers` through the export memory, instantiates heads,
+  // ships.
   void ShipFrontiers(const FlowId& update, UpdateState& state,
                      const std::string& rule_id,
                      std::vector<Tuple> frontiers,
@@ -225,8 +225,8 @@ class UpdateManager : public FlowEngine {
   std::map<FlowId, UpdateState> updates_;
   // Root-side completion callbacks, fired exactly once from Complete().
   std::map<FlowId, CompletionFn> completions_;
-  uint64_t* update_seq_;        // owned by the node
-  ExportMemory* export_memory_;  // owned by the node; may be null
+  uint64_t* update_seq_;         // owned by the node
+  ExportMemory& export_memory_;  // owned by the node
 };
 
 }  // namespace codb

@@ -95,8 +95,8 @@ std::vector<Tuple> CompiledQuery::Evaluate(const Database& db,
   // span (an update/query handler) provides the node context.
   ScopedSpan span(Tracer::Global().BeginSpanHere("eval.full"));
   std::vector<Tuple> out;
-  ResetSeen();
   Run(db, /*forced_first=*/-1, /*forced_rows=*/nullptr, out, options);
+  ReleaseSeen();
   return out;
 }
 
@@ -111,7 +111,6 @@ std::vector<Tuple> CompiledQuery::EvaluateDelta(
   std::vector<Tuple> out;
   if (delta.empty()) return out;
   ScopedSpan span(Tracer::Global().BeginSpanHere("eval.delta"));
-  ResetSeen();
   // Most delta derivations yield on the order of one frontier per delta
   // tuple; pre-sizing skips the incremental rehashes of growing from empty.
   if (delta.size() > scratch_.seen.bucket_count()) {
@@ -121,15 +120,15 @@ std::vector<Tuple> CompiledQuery::EvaluateDelta(
     if (atoms_[i].predicate != delta_relation) continue;
     Run(db, static_cast<int>(i), &delta, out, options);
   }
+  ReleaseSeen();
   return out;
 }
 
-void CompiledQuery::ResetSeen() const {
-  // clear() memsets the whole bucket array, so after one big evaluation a
-  // long run of tiny delta evaluations would each pay for the large table.
-  // Drop an oversized table instead of sweeping it.
-  if (scratch_.seen.bucket_count() > 1024 &&
-      scratch_.seen.size() * 8 < scratch_.seen.bucket_count()) {
+void CompiledQuery::ReleaseSeen() const {
+  // A large table is dropped rather than swept: clear() would memset its
+  // whole bucket array now and leave every later (typically tiny delta)
+  // evaluation the big table to probe and sweep again.
+  if (scratch_.seen.bucket_count() > 1024) {
     scratch_.seen = std::unordered_set<Tuple, TupleHash>();
   } else {
     scratch_.seen.clear();

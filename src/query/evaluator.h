@@ -18,7 +18,10 @@
 // distinguished variables; for GLAV rules, the head variables shared with
 // the body). Dedup happens inline at the join leaves against a hash set, so
 // duplicate projections are dropped as they are produced — including across
-// the per-occurrence passes of EvaluateDelta — and never materialized.
+// the per-occurrence passes of EvaluateDelta — and never materialized. The
+// set only dedups within one call: it is emptied when Evaluate or
+// EvaluateDelta returns, so what was shipped before is the export
+// memory's business (core/export_memory.h), not the evaluator's.
 //
 // Hot-path machinery (all per-instance, reused across calls):
 //   * plan cache    — the greedy subgoal order depends only on the forced
@@ -29,7 +32,8 @@
 //     columns at once: one bound column uses the single-column index,
 //     several use a composite index (see Relation::ProbeComposite);
 //   * scratch state — bindings, per-depth probe buffers and the dedup set
-//     live in a mutable scratch reused across Run calls.
+//     live in a mutable scratch reused across Run calls (the dedup set
+//     empty between evaluations).
 //
 // Parallelism (EvalOptions): with num_threads > 1 and a ThreadPool, the
 // candidate rows of the *first* subgoal are split into contiguous chunks
@@ -158,9 +162,9 @@ class CompiledQuery {
   // Resolves every body atom's relation into scratch_.atom_rels.
   void ResolveAtoms(const Database& db) const;
 
-  // Empties scratch_.seen for a new evaluation, replacing the table when a
-  // past large run left it with far more buckets than elements.
-  void ResetSeen() const;
+  // Empties scratch_.seen when an evaluation returns, so no frontier
+  // outlives the call that produced it.
+  void ReleaseSeen() const;
 
   // Memoized ComputeOrder: reuses a cached order while every body relation
   // stays within the same log2 size bucket. Falls back to a fresh

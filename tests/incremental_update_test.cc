@@ -23,6 +23,7 @@
 #include <tuple>
 #include <vector>
 
+#include "core/export_memory.h"
 #include "core/oracle.h"
 #include "net/fault.h"
 #include "query/homomorphism.h"
@@ -621,6 +622,139 @@ TEST(IncrementalEdgeTest, CallbackFiresOnceOnDeadlineAbort) {
       bed.value()->node(initiator)->statistics().FindReport(flow.value());
   ASSERT_NE(report, nullptr);
   EXPECT_TRUE(report->aborted);
+}
+
+
+// ---------------------------------------------------------------------------
+// ExportMemory on its own: the one record of what each incoming link has
+// shipped, and the "already shipped?" decision every shipment makes.
+
+std::vector<Tuple> Frontiers(std::initializer_list<int64_t> keys) {
+  std::vector<Tuple> out;
+  for (int64_t key : keys) out.push_back(Tuple{Value::Int(key)});
+  return out;
+}
+
+TEST(ExportMemoryTest, WithinFlowDuplicatesAreDroppedUncounted) {
+  ExportMemory memory;
+  const uint64_t full = memory.NewEpoch();
+  std::vector<Tuple> first = Frontiers({1, 2, 1});
+  EXPECT_EQ(memory.Admit("r", full, /*incremental=*/false, first), 0u);
+  EXPECT_EQ(first, Frontiers({1, 2}));
+  std::vector<Tuple> second = Frontiers({2, 3});
+  EXPECT_EQ(memory.Admit("r", full, /*incremental=*/false, second), 0u);
+  EXPECT_EQ(second, Frontiers({3}));
+
+  // An incremental flow's own repeats are not suppressions either.
+  const uint64_t incremental = memory.NewEpoch();
+  std::vector<Tuple> third = Frontiers({4, 4});
+  EXPECT_EQ(memory.Admit("r", incremental, /*incremental=*/true, third), 0u);
+  EXPECT_EQ(third, Frontiers({4}));
+  std::vector<Tuple> fourth = Frontiers({4});
+  EXPECT_EQ(memory.Admit("r", incremental, /*incremental=*/true, fourth), 0u);
+  EXPECT_TRUE(fourth.empty());
+}
+
+TEST(ExportMemoryTest, FullFlowReshipsAndRetagsAnEarlierFlowsFrontier) {
+  ExportMemory memory;
+  const uint64_t earlier = memory.NewEpoch();
+  const uint64_t later = memory.NewEpoch();
+  ASSERT_NE(earlier, later);
+  std::vector<Tuple> synced = Frontiers({1, 2});
+  memory.Admit("r", earlier, /*incremental=*/false, synced);
+
+  // A full update restates every export, so the same bytes go out again.
+  std::vector<Tuple> restated = Frontiers({1, 2, 3});
+  EXPECT_EQ(memory.Admit("r", later, /*incremental=*/false, restated), 0u);
+  EXPECT_EQ(restated, Frontiers({1, 2, 3}));
+  // Re-tagged: a repeat within the later flow is dropped...
+  std::vector<Tuple> repeat = Frontiers({1});
+  memory.Admit("r", later, /*incremental=*/false, repeat);
+  EXPECT_TRUE(repeat.empty());
+  // ...while the earlier flow, if still running, now sees another flow's
+  // entry and re-ships (overlapping full flows; importers absorb it).
+  std::vector<Tuple> overlap = Frontiers({1});
+  memory.Admit("r", earlier, /*incremental=*/false, overlap);
+  EXPECT_EQ(overlap, Frontiers({1}));
+}
+
+TEST(ExportMemoryTest, IncrementalFlowSuppressesEarlierFlowsFrontiers) {
+  ExportMemory memory;
+  std::vector<Tuple> synced = Frontiers({1, 2});
+  memory.Admit("r", memory.NewEpoch(), /*incremental=*/false, synced);
+
+  const uint64_t incremental = memory.NewEpoch();
+  std::vector<Tuple> delta = Frontiers({3, 1, 4, 2});
+  EXPECT_EQ(memory.Admit("r", incremental, /*incremental=*/true, delta), 2u);
+  EXPECT_EQ(delta, Frontiers({3, 4}));
+  // Memory is per rule: another link has shipped nothing yet.
+  std::vector<Tuple> other = Frontiers({1});
+  EXPECT_EQ(memory.Admit("s", incremental, /*incremental=*/true, other), 0u);
+  EXPECT_EQ(other, Frontiers({1}));
+
+  // The per-tuple Record predates every flow.
+  EXPECT_TRUE(memory.Record("r", Tuple{Value::Int(9)}));
+  EXPECT_FALSE(memory.Record("r", Tuple{Value::Int(9)}));
+  std::vector<Tuple> recorded = Frontiers({9});
+  EXPECT_EQ(memory.Admit("r", incremental, /*incremental=*/true, recorded),
+            1u);
+  EXPECT_TRUE(recorded.empty());
+}
+
+TEST(ExportMemoryTest, ForgetMakesAFrontierShippableAgain) {
+  ExportMemory memory;
+  const uint64_t full = memory.NewEpoch();
+  std::vector<Tuple> shipped = Frontiers({1, 2});
+  memory.Admit("r", full, /*incremental=*/false, shipped);
+  memory.Forget("r", Frontiers({1}));
+  EXPECT_FALSE(memory.Seen("r", Tuple{Value::Int(1)}));
+  EXPECT_TRUE(memory.Seen("r", Tuple{Value::Int(2)}));
+
+  std::vector<Tuple> same_flow = Frontiers({1, 2});
+  EXPECT_EQ(memory.Admit("r", full, /*incremental=*/false, same_flow), 0u);
+  EXPECT_EQ(same_flow, Frontiers({1}));
+  memory.Forget("r", Frontiers({1}));
+  std::vector<Tuple> incremental = Frontiers({1, 2});
+  EXPECT_EQ(memory.Admit("r", memory.NewEpoch(), /*incremental=*/true,
+                         incremental),
+            1u);
+  EXPECT_EQ(incremental, Frontiers({1}));
+}
+
+TEST(ExportMemoryTest, ResetForgetsEveryRule) {
+  ExportMemory memory;
+  const uint64_t full = memory.NewEpoch();
+  for (const char* rule : {"r", "s"}) {
+    std::vector<Tuple> shipped = Frontiers({1, 2});
+    memory.Admit(rule, full, /*incremental=*/false, shipped);
+  }
+  memory.Reset();
+  const uint64_t incremental = memory.NewEpoch();
+  for (const char* rule : {"r", "s"}) {
+    EXPECT_FALSE(memory.Seen(rule, Tuple{Value::Int(1)})) << rule;
+    std::vector<Tuple> delta = Frontiers({1, 2});
+    EXPECT_EQ(memory.Admit(rule, incremental, /*incremental=*/true, delta),
+              0u);
+    EXPECT_EQ(delta, Frontiers({1, 2})) << rule;
+  }
+}
+
+TEST(ExportMemoryTest, SyncRulesDropsVanishedAndClearsChangedRules) {
+  ExportMemory memory;
+  memory.SyncRules({{"kept", "k"}, {"changed", "c1"}, {"vanished", "v"}});
+  const Tuple frontier{Value::Int(1)};
+  for (const char* rule : {"kept", "changed", "vanished"}) {
+    EXPECT_TRUE(memory.Record(rule, frontier)) << rule;
+  }
+
+  memory.SyncRules({{"kept", "k"}, {"changed", "c2"}});
+  EXPECT_TRUE(memory.Seen("kept", frontier));
+  EXPECT_FALSE(memory.Seen("changed", frontier));
+  EXPECT_FALSE(memory.Seen("vanished", frontier));
+  // A rule that comes back under its old text starts over too.
+  memory.SyncRules({{"kept", "k"}, {"changed", "c2"}, {"vanished", "v"}});
+  EXPECT_FALSE(memory.Seen("vanished", frontier));
+  EXPECT_TRUE(memory.Seen("kept", frontier));
 }
 
 }  // namespace
