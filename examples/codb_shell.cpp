@@ -17,9 +17,6 @@
 //   stats                      collect + print the final report
 //   quit
 //
-// Flags: --node-threads N gives every node an N-way evaluator pool
-// (DESIGN.md §10); results are identical at any N, only wall time moves.
-//
 // Example session:
 //
 //   build/examples/codb_shell <<'EOF'
@@ -56,10 +53,6 @@ namespace {
 
 class Shell {
  public:
-  void set_node_threads(int threads) {
-    node_options_.exec.num_threads = threads;
-  }
-
   int RunFrom(std::istream& in) {
     super_peer_ = SuperPeer::Create(&network_);
     std::string line;
@@ -125,8 +118,7 @@ class Shell {
         if (!added.ok()) return Fail(added.ToString());
       }
       Result<std::unique_ptr<Node>> node =
-          Node::Create(&network_, decl.name, std::move(schema),
-                       decl.mediator, node_options_);
+          Node::Create(&network_, decl.name, std::move(schema), decl.mediator);
       if (!node.ok()) return Fail(node.status().ToString());
       nodes_.push_back(std::move(node).value());
     }
@@ -329,7 +321,6 @@ class Shell {
   }
 
   Network network_;
-  Node::Options node_options_;
   std::vector<std::unique_ptr<Node>> nodes_;
   std::unique_ptr<SuperPeer> super_peer_;
 };
@@ -338,19 +329,11 @@ class Shell {
 }  // namespace codb
 
 int main(int argc, char** argv) {
-  codb::Shell shell;
-  for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    if (arg == "--node-threads" && i + 1 < argc) {
-      shell.set_node_threads(std::stoi(argv[++i]));
-    } else if (arg.rfind("--node-threads=", 0) == 0) {
-      shell.set_node_threads(
-          std::stoi(arg.substr(std::string("--node-threads=").size())));
-    } else {
-      std::cerr << "unknown flag '" << arg
-                << "' (supported: --node-threads N)\n";
-      return 1;
-    }
+  if (argc > 1) {
+    std::cerr << "unknown flag '" << argv[1]
+              << "' (codb_shell takes no flags; commands come on stdin)\n";
+    return 1;
   }
+  codb::Shell shell;
   return shell.RunFrom(std::cin);
 }

@@ -33,7 +33,6 @@ FlowEngine::FlowEngine(FlowId::Scope scope, const Context& context)
       link_graph_(context.link_graph),
       stats_(context.stats),
       minter_(context.minter),
-      eval_(context.eval),
       m_started_(stats_->metrics().GetCounter(MetricName(scope, "started"))),
       m_dups_suppressed_(stats_->metrics().GetCounter(
           MetricName(scope, "dups_suppressed"))),

@@ -56,8 +56,6 @@ class FlowEngine {
     NullMinter* minter = nullptr;
     // At-least-once delivery (core/reliability.h).
     ReliabilityOptions reliability;
-    // Thread pool + fan-out of this engine's rule evaluations.
-    EvalOptions eval;
   };
 
   virtual ~FlowEngine() = default;
@@ -160,7 +158,6 @@ class FlowEngine {
   const LinkGraph* link_graph_;
   StatisticsModule* stats_;
   NullMinter* minter_;
-  EvalOptions eval_;
   std::map<std::string, CoordinationRule> compiled_incoming_;
 
  private:

@@ -43,9 +43,9 @@ Result<std::unique_ptr<Node>> Node::Create(NetworkBase* network,
   node->minter_ = std::make_unique<NullMinter>(node->id_.value);
   node->discovery_ =
       std::make_unique<DiscoveryService>(network, node->id_);
-  // One pool serves both the evaluator fan-out and the flow strands.
-  // num_threads == 1 spawns no workers: every Submit runs inline and the
-  // node behaves exactly like the historical single-threaded build.
+  // The pool behind the flow strands. num_threads == 1 spawns no workers:
+  // every Submit runs inline and the node behaves exactly like the
+  // historical single-threaded build.
   node->pool_ = std::make_unique<ThreadPool>(options.exec.num_threads);
   node->flow_exec_ =
       std::make_unique<FlowExecutor>(node->pool_.get(), network);
@@ -54,8 +54,7 @@ Result<std::unique_ptr<Node>> Node::Create(NetworkBase* network,
 }
 
 bool Node::ConcurrentFlows() const {
-  return options_.exec.concurrent_flows &&
-         network_->SupportsBackgroundWork();
+  return options_.exec.num_threads > 1 && network_->SupportsBackgroundWork();
 }
 
 void Node::SampleExecMetrics() {
@@ -66,8 +65,6 @@ void Node::SampleExecMetrics() {
       ->Set(static_cast<int64_t>(pool.queue_depth));
   metrics.GetGauge("exec.tasks_executed")
       ->Set(static_cast<int64_t>(pool.executed));
-  metrics.GetGauge("exec.tasks_stolen")
-      ->Set(static_cast<int64_t>(pool.stolen));
   metrics.GetGauge("exec.worker_busy_us")
       ->Set(static_cast<int64_t>(pool.busy_us));
   metrics.GetGauge("exec.lock_wait_us")
@@ -221,9 +218,6 @@ Status Node::ApplyConfigLocked(const NetworkConfig& config,
   context.stats = &statistics_;
   context.minter = minter_.get();
   context.reliability = options_.reliability;
-  context.eval.num_threads = options_.exec.num_threads;
-  context.eval.pool = pool_.get();
-  context.eval.min_parallel_rows = options_.exec.min_parallel_rows;
   update_manager_ = std::make_shared<UpdateManager>(
       context, &update_seq_, export_memory_, options_.update);
   query_manager_ = std::make_shared<QueryManager>(context, &query_seq_);

@@ -37,22 +37,17 @@
 
 namespace codb {
 
-// Intra-node execution (DESIGN.md §10). Defaults keep the historical
-// single-threaded node: sequential evaluator, flow handlers inline.
+// Intra-node execution (DESIGN.md §10). The default keeps the historical
+// single-threaded node: flow handlers run inline.
 // (Namespace scope, not nested: nested-class member initializers are
 // late-parsed and cannot back a default argument of the enclosing class.)
 struct NodeExecOptions {
-  // Worker fan-out of the partitioned-join evaluator; 1 = the
-  // byte-identical sequential path.
+  // Threads of the node's pool, the caller included. Above 1, flow-scoped
+  // messages run on per-flow strands of that pool instead of inline, so
+  // query flows and the update flow overlap. Only honored on runtimes
+  // that support background work (the threaded network); the
+  // deterministic simulator always handles inline.
   int num_threads = 1;
-  // Admit several flows at once: flow-scoped messages run on per-flow
-  // strands of the node's pool instead of inline, so query flows and
-  // the update flow overlap. Only honored on runtimes that support
-  // background work (the threaded network); the deterministic
-  // simulator always handles inline.
-  bool concurrent_flows = false;
-  // Smallest probe-side candidate count worth forking for.
-  size_t min_parallel_rows = 32;
 };
 
 class Node : public NetworkPeer {

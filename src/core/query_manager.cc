@@ -188,11 +188,10 @@ void QueryManager::Serve(
   Tracer::Global().AddArg(span.id(), "rule", rule_id);
 
   // The overlay is private to this query and only touched under the
-  // monitor, so no store guard is needed; the evaluator may still fan the
-  // join out over the worker pool.
+  // monitor, so no store guard is needed.
   std::vector<Tuple> frontiers =
-      delta == nullptr ? rule.EvaluateFrontier(overlay, eval_)
-                       : rule.EvaluateFrontierDeltas(overlay, *delta, eval_);
+      delta == nullptr ? rule.EvaluateFrontier(overlay)
+                       : rule.EvaluateFrontierDeltas(overlay, *delta);
 
   std::vector<Tuple> fresh;
   for (Tuple& frontier : frontiers) {
@@ -332,12 +331,8 @@ Result<std::vector<Tuple>> QueryManager::Answers(const FlowId& query) const {
     return Status::NotFound("not the origin of " + query.ToString());
   }
   const QueryState& state = it->second;
-  // Owned queries always have an overlay; the storage fallback (read
-  // under the store lock) covers states deserialized by older paths.
-  std::optional<ShardedRWLock::ReadAllGuard> read_guard;
-  if (state.overlay == nullptr) read_guard.emplace(wrapper_->store_lock());
-  const Database& db =
-      state.overlay != nullptr ? *state.overlay : wrapper_->storage();
+  // StartQuery builds the overlay of every owned query on the spot.
+  const Database& db = *state.overlay;
   if (!state.compiled_user_query.has_value()) {
     const ConjunctiveQuery& q = state.user_query;
     std::vector<std::string> output;
@@ -349,7 +344,7 @@ Result<std::vector<Tuple>> QueryManager::Answers(const FlowId& query) const {
         CompiledQuery::Compile(q, db.Schema(), output));
     state.compiled_user_query.emplace(std::move(compiled));
   }
-  return state.compiled_user_query->Evaluate(db, eval_);
+  return state.compiled_user_query->Evaluate(db);
 }
 
 Result<std::vector<Tuple>> QueryManager::CertainAnswers(

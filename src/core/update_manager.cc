@@ -186,10 +186,10 @@ void UpdateManager::FireInitial(const FlowId& update, UpdateState& state,
         const Relation* body = wrapper_->storage().Find(relation);
         if (body != nullptr) input_rows += body->size();
       }
-      frontiers = rule.EvaluateFrontier(wrapper_->storage(), eval_);
+      frontiers = rule.EvaluateFrontier(wrapper_->storage());
     } else {
       frontiers = rule.EvaluateFrontierDeltas(wrapper_->storage(), *delta,
-                                              eval_, &input_rows);
+                                              &input_rows);
     }
     m_eval_rows_->Add(input_rows);
   }
@@ -435,8 +435,8 @@ void UpdateManager::OnData(const Message& message) {
     std::vector<Tuple> frontiers;
     {
       ShardedRWLock::ReadAllGuard read_guard(wrapper_->store_lock());
-      frontiers = rule.EvaluateFrontierDeltas(wrapper_->storage(), delta,
-                                              eval_, &input_rows);
+      frontiers =
+          rule.EvaluateFrontierDeltas(wrapper_->storage(), delta, &input_rows);
     }
     m_eval_rows_->Add(input_rows);
     eval_span.End();

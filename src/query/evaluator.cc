@@ -6,7 +6,6 @@
 #include <map>
 
 #include "obs/trace.h"
-#include "util/thread_pool.h"
 
 namespace codb {
 
@@ -89,20 +88,19 @@ bool CompiledQuery::UsesRelation(const std::string& relation) const {
   return false;
 }
 
-std::vector<Tuple> CompiledQuery::Evaluate(const Database& db,
-                                           const EvalOptions& options) const {
+std::vector<Tuple> CompiledQuery::Evaluate(const Database& db) const {
   // Auto-context span: records only when tracing is on AND an enclosing
   // span (an update/query handler) provides the node context.
   ScopedSpan span(Tracer::Global().BeginSpanHere("eval.full"));
   std::vector<Tuple> out;
-  Run(db, /*forced_first=*/-1, /*forced_rows=*/nullptr, out, options);
+  Run(db, /*forced_first=*/-1, /*forced_rows=*/nullptr, out);
   ReleaseSeen();
   return out;
 }
 
 std::vector<Tuple> CompiledQuery::EvaluateDelta(
     const Database& db, const std::string& delta_relation,
-    const std::vector<Tuple>& delta, const EvalOptions& options) const {
+    const std::vector<Tuple>& delta) const {
   // A new derivation must use a delta tuple for at least one occurrence of
   // the updated relation. Running one pass per occurrence with the other
   // occurrences reading the full (already-updated) relation covers every
@@ -118,7 +116,7 @@ std::vector<Tuple> CompiledQuery::EvaluateDelta(
   }
   for (size_t i = 0; i < atoms_.size(); ++i) {
     if (atoms_[i].predicate != delta_relation) continue;
-    Run(db, static_cast<int>(i), &delta, out, options);
+    Run(db, static_cast<int>(i), &delta, out);
   }
   ReleaseSeen();
   return out;
@@ -257,164 +255,24 @@ std::string CompiledQuery::ExplainPlan(const Database& db) const {
   return out;
 }
 
-void CompiledQuery::PrepareScratch(Scratch& s) const {
-  s.binding.assign(var_names_.size(), Value());
-  s.bound.assign(var_names_.size(), 0);
-  if (s.probe_columns.size() < atoms_.size()) {
-    s.probe_columns.resize(atoms_.size());
-    s.probe_keys.resize(atoms_.size());
-    s.newly_bound.resize(atoms_.size());
-  }
-}
-
 void CompiledQuery::Run(const Database& db, int forced_first,
                         const std::vector<Tuple>* forced_rows,
-                        std::vector<Tuple>& out,
-                        const EvalOptions& options) const {
+                        std::vector<Tuple>& out) const {
   ResolveAtoms(db);
   const std::vector<int>& order = CachedOrder(forced_first);
-  PrepareScratch(scratch_);
-  if (order.empty()) {
-    Join(scratch_, order, 0, forced_first, forced_rows, out);
-    return;
+  scratch_.binding.assign(var_names_.size(), Value());
+  scratch_.bound.assign(var_names_.size(), 0);
+  if (scratch_.probe_columns.size() < atoms_.size()) {
+    scratch_.probe_columns.resize(atoms_.size());
+    scratch_.probe_keys.resize(atoms_.size());
+    scratch_.newly_bound.resize(atoms_.size());
   }
-  if (options.num_threads > 1 && options.pool != nullptr &&
-      TryParallelJoin(order, forced_first, forced_rows, out, options)) {
-    return;
-  }
-  Join(scratch_, order, 0, forced_first, forced_rows, out);
+  Join(order, 0, forced_first, forced_rows, out);
 }
 
-void CompiledQuery::PrebuildIndexes(const std::vector<int>& order,
-                                    int forced_first) const {
-  // The variables bound when the join reaches depth d are exactly the
-  // variables of atoms order[0..d-1] — TryBindTuple binds every variable
-  // slot of an atom — so the probe column set of each depth is a static
-  // property of the plan. Build those indexes now, on this thread, so the
-  // workers' probes are pure reads.
-  std::vector<char> bound(var_names_.size(), 0);
-  std::vector<int> cols;
-  for (size_t depth = 0; depth < order.size(); ++depth) {
-    int atom_index = order[depth];
-    const CompiledAtom& atom = atoms_[static_cast<size_t>(atom_index)];
-    if (atom_index != forced_first) {
-      const Relation* rel =
-          scratch_.atom_rels[static_cast<size_t>(atom_index)];
-      if (rel != nullptr) {
-        cols.clear();
-        for (size_t i = 0; i < atom.slots.size(); ++i) {
-          const Slot& slot = atom.slots[i];
-          if (!slot.is_var || bound[static_cast<size_t>(slot.var)] != 0) {
-            cols.push_back(static_cast<int>(i));
-          }
-        }
-        if (cols.size() == 1) {
-          rel->EnsureColumnIndex(cols[0]);
-        } else if (cols.size() > 1) {
-          rel->EnsureCompositeIndex(cols);
-        }
-      }
-    }
-    for (const Slot& slot : atom.slots) {
-      if (slot.is_var) bound[static_cast<size_t>(slot.var)] = 1;
-    }
-  }
-}
-
-bool CompiledQuery::TryParallelJoin(const std::vector<int>& order,
-                                    int forced_first,
-                                    const std::vector<Tuple>* forced_rows,
-                                    std::vector<Tuple>& out,
-                                    const EvalOptions& options) const {
-  // Gather the first subgoal's candidate rows through the same access
-  // path the sequential Join would use at depth 0 (forced delta batch,
-  // constant-column probe, or scan).
-  int atom0 = order[0];
-  const CompiledAtom& atom = atoms_[static_cast<size_t>(atom0)];
-  std::vector<const Tuple*> candidates;
-  if (atom0 == forced_first) {
-    candidates.reserve(forced_rows->size());
-    for (const Tuple& t : *forced_rows) candidates.push_back(&t);
-  } else {
-    const Relation* rel = scratch_.atom_rels[static_cast<size_t>(atom0)];
-    if (rel == nullptr) return true;  // relation absent -> no matches
-    std::vector<int> cols;
-    std::vector<Value> keys;
-    for (size_t i = 0; i < atom.slots.size(); ++i) {
-      if (!atom.slots[i].is_var) {
-        cols.push_back(static_cast<int>(i));
-        keys.push_back(atom.slots[i].constant);
-      }
-    }
-    if (cols.size() == 1) {
-      for (uint32_t row : rel->Probe(cols[0], keys[0])) {
-        candidates.push_back(&rel->rows()[row]);
-      }
-    } else if (cols.size() > 1) {
-      for (uint32_t row : rel->ProbeComposite(cols, keys)) {
-        candidates.push_back(&rel->rows()[row]);
-      }
-    } else {
-      candidates.reserve(rel->size());
-      for (const Tuple& t : rel->rows()) candidates.push_back(&t);
-    }
-  }
-  if (candidates.size() < options.min_parallel_rows) return false;
-
-  PrebuildIndexes(order, forced_first);
-
-  size_t chunks = static_cast<size_t>(options.num_threads);
-  if (chunks > candidates.size()) chunks = candidates.size();
-
-  struct WorkerState {
-    Scratch s;
-    std::vector<Tuple> chunk_out;
-  };
-  std::vector<WorkerState> workers(chunks);
-  std::vector<ThreadPool::Task> tasks;
-  tasks.reserve(chunks);
-  for (size_t c = 0; c < chunks; ++c) {
-    size_t begin = candidates.size() * c / chunks;
-    size_t end = candidates.size() * (c + 1) / chunks;
-    WorkerState* w = &workers[c];
-    tasks.push_back([this, w, &candidates, begin, end, &order, &atom,
-                     forced_first, forced_rows] {
-      Scratch& s = w->s;
-      s.atom_rels = scratch_.atom_rels;
-      PrepareScratch(s);
-      std::vector<int>& newly_bound = s.newly_bound[0];
-      for (size_t i = begin; i < end; ++i) {
-        newly_bound.clear();
-        if (TryBindTuple(s, atom, *candidates[i], newly_bound) &&
-            ComparisonsHold(s)) {
-          Join(s, order, 1, forced_first, forced_rows, w->chunk_out);
-        }
-        for (int var : newly_bound) {
-          s.bound[static_cast<size_t>(var)] = 0;
-        }
-      }
-    });
-  }
-  options.pool->RunBatch(std::move(tasks));
-
-  // Merge chunk outputs in chunk order through the shared dedup set. A
-  // worker-local `seen` only suppressed tuples an earlier candidate in
-  // the same chunk produced — which the sequential run would also have
-  // suppressed — so re-applying global dedup here reproduces the exact
-  // sequential output sequence (and, for delta passes, dedups against
-  // previous occurrence passes sharing scratch_.seen).
-  for (WorkerState& w : workers) {
-    for (Tuple& t : w.chunk_out) {
-      auto [it, inserted] = scratch_.seen.insert(std::move(t));
-      if (inserted) out.push_back(*it);
-    }
-  }
-  return true;
-}
-
-bool CompiledQuery::TryBindTuple(Scratch& s, const CompiledAtom& atom,
-                                 const Tuple& tuple,
+bool CompiledQuery::TryBindTuple(const CompiledAtom& atom, const Tuple& tuple,
                                  std::vector<int>& newly_bound) const {
+  Scratch& s = scratch_;
   for (size_t i = 0; i < atom.slots.size(); ++i) {
     const Slot& slot = atom.slots[i];
     const Value& v = tuple.at(static_cast<int>(i));
@@ -434,7 +292,8 @@ bool CompiledQuery::TryBindTuple(Scratch& s, const CompiledAtom& atom,
   return true;
 }
 
-bool CompiledQuery::ComparisonsHold(const Scratch& s) const {
+bool CompiledQuery::ComparisonsHold() const {
+  const Scratch& s = scratch_;
   for (const CompiledComparison& c : comparisons_) {
     auto resolve = [&](const Slot& slot, Value& out_value) {
       if (!slot.is_var) {
@@ -454,10 +313,11 @@ bool CompiledQuery::ComparisonsHold(const Scratch& s) const {
   return true;
 }
 
-void CompiledQuery::Join(Scratch& s, const std::vector<int>& order,
-                         size_t depth, int forced_first,
+void CompiledQuery::Join(const std::vector<int>& order, size_t depth,
+                         int forced_first,
                          const std::vector<Tuple>* forced_rows,
                          std::vector<Tuple>& out) const {
+  Scratch& s = scratch_;
   if (depth == order.size()) {
     std::vector<Value>& frontier = s.frontier;
     frontier.clear();
@@ -480,8 +340,8 @@ void CompiledQuery::Join(Scratch& s, const std::vector<int>& order,
     std::vector<int>& newly_bound =
         s.newly_bound[static_cast<size_t>(depth)];
     newly_bound.clear();
-    if (TryBindTuple(s, atom, tuple, newly_bound) && ComparisonsHold(s)) {
-      Join(s, order, depth + 1, forced_first, forced_rows, out);
+    if (TryBindTuple(atom, tuple, newly_bound) && ComparisonsHold()) {
+      Join(order, depth + 1, forced_first, forced_rows, out);
     }
     for (int var : newly_bound) {
       s.bound[static_cast<size_t>(var)] = 0;

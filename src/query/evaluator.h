@@ -35,22 +35,10 @@
 //     live in a mutable scratch reused across Run calls (the dedup set
 //     empty between evaluations).
 //
-// Parallelism (EvalOptions): with num_threads > 1 and a ThreadPool, the
-// candidate rows of the *first* subgoal are split into contiguous chunks
-// evaluated by pool workers, each against a private scratch; the chunk
-// outputs are then merged in chunk order through the shared dedup set.
-// Because a worker-local dedup only drops tuples an earlier candidate in
-// the same chunk already produced — tuples the sequential run would have
-// dropped too — and the in-order merge re-applies global dedup, the
-// output sequence is byte-identical to the sequential one. All indexes a
-// plan can probe are pre-built before workers start (static probe sets:
-// the bound-variable set at each depth depends only on the subgoal
-// order), so workers only ever read relations.
-//
-// Concurrency contract: a CompiledQuery instance still must not be
-// *entered* concurrently (the shared scratch and plan cache are not
-// locked); parallelism happens inside one Evaluate call. This matches
-// the per-flow serialization of the core managers (DESIGN.md §10).
+// Concurrency contract: a CompiledQuery instance must not be entered
+// concurrently (the scratch and plan cache are not locked). The core
+// managers serialize evaluation per flow (DESIGN.md §10); parallelism in
+// coDB comes from flows running across peers, not from inside one join.
 
 #ifndef CODB_QUERY_EVALUATOR_H_
 #define CODB_QUERY_EVALUATOR_H_
@@ -67,20 +55,6 @@
 
 namespace codb {
 
-class ThreadPool;
-
-// Knobs for one evaluation pass. The default is the sequential path,
-// byte-identical to the pre-parallelism engine.
-struct EvalOptions {
-  // Total ways of parallelism including the calling thread; 1 = inline.
-  int num_threads = 1;
-  // Required when num_threads > 1 (typically core::Node's pool).
-  ThreadPool* pool = nullptr;
-  // First-subgoal candidate count below which the parallel path is not
-  // worth the scratch setup and merge; fall back to sequential.
-  size_t min_parallel_rows = 32;
-};
-
 class CompiledQuery {
  public:
   // `query` must Validate(); its body is checked against `body_schema`.
@@ -90,11 +64,7 @@ class CompiledQuery {
                                        std::vector<std::string> output_vars);
 
   // Frontier tuples of the body over `db`, deduplicated.
-  std::vector<Tuple> Evaluate(const Database& db) const {
-    return Evaluate(db, EvalOptions());
-  }
-  std::vector<Tuple> Evaluate(const Database& db,
-                              const EvalOptions& options) const;
+  std::vector<Tuple> Evaluate(const Database& db) const;
 
   // Frontier tuples of derivations that use at least one tuple of `delta`
   // in place of some body occurrence of `delta_relation`. `db` must already
@@ -102,13 +72,7 @@ class CompiledQuery {
   // so non-delta occurrences see the *new* state.
   std::vector<Tuple> EvaluateDelta(const Database& db,
                                    const std::string& delta_relation,
-                                   const std::vector<Tuple>& delta) const {
-    return EvaluateDelta(db, delta_relation, delta, EvalOptions());
-  }
-  std::vector<Tuple> EvaluateDelta(const Database& db,
-                                   const std::string& delta_relation,
-                                   const std::vector<Tuple>& delta,
-                                   const EvalOptions& options) const;
+                                   const std::vector<Tuple>& delta) const;
 
   const std::vector<std::string>& output_vars() const { return output_vars_; }
 
@@ -137,8 +101,7 @@ class CompiledQuery {
     Slot rhs;
   };
 
-  // Reusable evaluation state. The instance-level scratch_ serves the
-  // sequential path; the parallel path gives each worker its own.
+  // Reusable evaluation state, kept across calls in scratch_.
   struct Scratch {
     std::vector<Value> binding;
     std::vector<char> bound;  // char, not bool: avoids bitset proxies
@@ -175,33 +138,17 @@ class CompiledQuery {
   // `forced_rows` instead of the database (delta mode); -1 for none.
   // Frontier tuples are appended to `out` after passing scratch_.seen.
   void Run(const Database& db, int forced_first,
-           const std::vector<Tuple>* forced_rows, std::vector<Tuple>& out,
-           const EvalOptions& options) const;
+           const std::vector<Tuple>* forced_rows,
+           std::vector<Tuple>& out) const;
 
-  // Sizes the per-variable and per-depth buffers of `s` for a Run.
-  void PrepareScratch(Scratch& s) const;
-
-  // The parallel Run body. Returns false (leaving `out` untouched) when
-  // the pass is too small or has no parallelizable shape, in which case
-  // the caller falls back to the sequential Join.
-  bool TryParallelJoin(const std::vector<int>& order, int forced_first,
-                       const std::vector<Tuple>* forced_rows,
-                       std::vector<Tuple>& out,
-                       const EvalOptions& options) const;
-
-  // Eagerly builds every relation index the plan can probe, so worker
-  // threads never mutate a relation's lazy index state.
-  void PrebuildIndexes(const std::vector<int>& order,
-                       int forced_first) const;
-
-  void Join(Scratch& s, const std::vector<int>& order, size_t depth,
-            int forced_first, const std::vector<Tuple>* forced_rows,
+  void Join(const std::vector<int>& order, size_t depth, int forced_first,
+            const std::vector<Tuple>* forced_rows,
             std::vector<Tuple>& out) const;
 
-  bool TryBindTuple(Scratch& s, const CompiledAtom& atom, const Tuple& tuple,
+  bool TryBindTuple(const CompiledAtom& atom, const Tuple& tuple,
                     std::vector<int>& newly_bound) const;
 
-  bool ComparisonsHold(const Scratch& s) const;
+  bool ComparisonsHold() const;
 
   std::vector<CompiledAtom> atoms_;
   std::vector<CompiledComparison> comparisons_;

@@ -85,30 +85,29 @@ Status CoordinationRule::Compile(const DatabaseSchema& exporter_schema,
 }
 
 std::vector<Tuple> CoordinationRule::EvaluateFrontier(
-    const Database& exporter_db, const EvalOptions& options) const {
+    const Database& exporter_db) const {
   assert(compiled_ && "Compile() must succeed before evaluation");
-  return compiled_->body.Evaluate(exporter_db, options);
+  return compiled_->body.Evaluate(exporter_db);
 }
 
 std::vector<Tuple> CoordinationRule::EvaluateFrontierDelta(
     const Database& exporter_db, const std::string& delta_relation,
-    const std::vector<Tuple>& delta, const EvalOptions& options) const {
+    const std::vector<Tuple>& delta) const {
   assert(compiled_ && "Compile() must succeed before evaluation");
-  return compiled_->body.EvaluateDelta(exporter_db, delta_relation, delta,
-                                       options);
+  return compiled_->body.EvaluateDelta(exporter_db, delta_relation, delta);
 }
 
 std::vector<Tuple> CoordinationRule::EvaluateFrontierDeltas(
     const Database& exporter_db,
     const std::map<std::string, std::vector<Tuple>>& deltas,
-    const EvalOptions& options, uint64_t* rows_read) const {
+    uint64_t* rows_read) const {
   assert(compiled_ && "Compile() must succeed before evaluation");
   std::vector<Tuple> frontiers;
   for (const auto& [relation, rows] : deltas) {
     if (rows.empty() || !compiled_->body.UsesRelation(relation)) continue;
     if (rows_read != nullptr) *rows_read += rows.size();
     std::vector<Tuple> partial =
-        compiled_->body.EvaluateDelta(exporter_db, relation, rows, options);
+        compiled_->body.EvaluateDelta(exporter_db, relation, rows);
     frontiers.insert(frontiers.end(), std::make_move_iterator(partial.begin()),
                      std::make_move_iterator(partial.end()));
   }

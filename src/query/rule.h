@@ -93,26 +93,13 @@ class CoordinationRule {
   bool compiled() const { return compiled_.has_value(); }
 
   // Distinguished-variable bindings of the body over the exporter db.
-  // The EvalOptions overloads thread the node's parallel-evaluation knobs
-  // down to CompiledQuery.
-  std::vector<Tuple> EvaluateFrontier(const Database& exporter_db) const {
-    return EvaluateFrontier(exporter_db, EvalOptions());
-  }
-  std::vector<Tuple> EvaluateFrontier(const Database& exporter_db,
-                                      const EvalOptions& options) const;
+  std::vector<Tuple> EvaluateFrontier(const Database& exporter_db) const;
 
   // Same, restricted to derivations using `delta` for some occurrence of
   // `delta_relation` (see CompiledQuery::EvaluateDelta).
   std::vector<Tuple> EvaluateFrontierDelta(
       const Database& exporter_db, const std::string& delta_relation,
-      const std::vector<Tuple>& delta) const {
-    return EvaluateFrontierDelta(exporter_db, delta_relation, delta,
-                                 EvalOptions());
-  }
-  std::vector<Tuple> EvaluateFrontierDelta(const Database& exporter_db,
-                                           const std::string& delta_relation,
-                                           const std::vector<Tuple>& delta,
-                                           const EvalOptions& options) const;
+      const std::vector<Tuple>& delta) const;
 
   // The semi-naive step for a batch of per-relation deltas: the union of
   // EvaluateFrontierDelta over every non-empty delta relation the body
@@ -120,7 +107,7 @@ class CoordinationRule {
   std::vector<Tuple> EvaluateFrontierDeltas(
       const Database& exporter_db,
       const std::map<std::string, std::vector<Tuple>>& deltas,
-      const EvalOptions& options, uint64_t* rows_read = nullptr) const;
+      uint64_t* rows_read = nullptr) const;
 
   // Head tuples for one frontier binding; mints one fresh null per
   // existential variable, shared across this firing's head atoms.

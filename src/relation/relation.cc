@@ -109,7 +109,7 @@ void Relation::EnsureColumnIndex(int column) const {
   ci.built = true;
 }
 
-Relation::CompositeIndex& Relation::EnsureCompositeIndexImpl(
+Relation::CompositeIndex& Relation::EnsureCompositeIndex(
     const std::vector<int>& columns) const {
   assert(!columns.empty());
   assert(std::is_sorted(columns.begin(), columns.end()));
@@ -125,10 +125,6 @@ Relation::CompositeIndex& Relation::EnsureCompositeIndexImpl(
   return composite;
 }
 
-void Relation::EnsureCompositeIndex(const std::vector<int>& columns) const {
-  EnsureCompositeIndexImpl(columns);
-}
-
 const Relation::RowIndexList& Relation::Probe(int column,
                                               const Value& key) const {
   EnsureColumnIndex(column);
@@ -140,7 +136,7 @@ const Relation::RowIndexList& Relation::Probe(int column,
 const Relation::RowIndexList& Relation::ProbeComposite(
     const std::vector<int>& columns, const std::vector<Value>& keys) const {
   assert(columns.size() == keys.size());
-  const CompositeIndex& composite = EnsureCompositeIndexImpl(columns);
+  const CompositeIndex& composite = EnsureCompositeIndex(columns);
   auto bucket = composite.buckets.find(Tuple(keys.data(), keys.size()));
   return bucket == composite.buckets.end() ? kEmptyBucket : bucket->second;
 }

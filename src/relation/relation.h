@@ -89,14 +89,6 @@ class Relation {
   const RowIndexList& ProbeComposite(const std::vector<int>& columns,
                                      const std::vector<Value>& keys) const;
 
-  // Force the lazy index build eagerly, so later Probe/ProbeComposite
-  // calls on that column set are pure reads. The parallel evaluator
-  // pre-builds every index its plan will touch *before* worker threads
-  // start probing; without this, two workers could race the first-probe
-  // build (see the concurrency note on column_indexes_ below).
-  void EnsureColumnIndex(int column) const;
-  void EnsureCompositeIndex(const std::vector<int>& columns) const;
-
   // Total wire size of all rows (for volume statistics).
   size_t WireSize() const;
 
@@ -137,10 +129,10 @@ class Relation {
   // Adds row `row` (== its position in rows_) to every built index.
   void AppendToIndexes(const Tuple& tuple, uint32_t row) const;
 
-  // Build-if-absent returning the index, so ProbeComposite pays a single
-  // map lookup.
-  CompositeIndex& EnsureCompositeIndexImpl(
-      const std::vector<int>& columns) const;
+  // The lazy index builds behind Probe/ProbeComposite. The composite one
+  // returns the index, so ProbeComposite pays a single map lookup.
+  void EnsureColumnIndex(int column) const;
+  CompositeIndex& EnsureCompositeIndex(const std::vector<int>& columns) const;
 
   static Tuple ProjectColumns(const Tuple& tuple,
                               const std::vector<int>& columns);
@@ -152,8 +144,7 @@ class Relation {
   // Lazily built, incrementally maintained probe indexes. Mutable because
   // probing is logically const. Not internally locked: mutation (inserts,
   // first-probe builds) happens either on the peer's single event thread
-  // or under the owning Wrapper's store lock; parallel evaluator workers
-  // only probe indexes pre-built via Ensure*Index (DESIGN.md §10).
+  // or under the owning Wrapper's store lock (DESIGN.md §10).
   mutable std::vector<ColumnIndex> column_indexes_;
   mutable std::map<std::vector<int>, CompositeIndex> composite_indexes_;
   static const RowIndexList kEmptyBucket;

@@ -6,79 +6,34 @@ namespace codb {
 
 ThreadPool::ThreadPool(int num_threads)
     : num_threads_(num_threads < 1 ? 1 : num_threads) {
-  int workers = num_threads_ - 1;
-  for (int i = 0; i < workers; ++i) {
-    queues_.push_back(std::make_unique<Deque>());
-  }
-  for (int i = 0; i < workers; ++i) {
-    workers_.emplace_back([this, i] { WorkerLoop(static_cast<size_t>(i)); });
+  for (int i = 1; i < num_threads_; ++i) {
+    workers_.emplace_back([this] { WorkerLoop(); });
   }
 }
 
 ThreadPool::~ThreadPool() {
   {
-    std::lock_guard<std::mutex> lock(sleep_mu_);
+    std::lock_guard<std::mutex> lock(mu_);
     shutdown_ = true;
   }
-  sleep_cv_.notify_all();
-  for (std::thread& worker : workers_) {
-    if (worker.joinable()) worker.join();
-  }
-}
-
-void ThreadPool::Push(Task task) {
-  size_t q = next_queue_.fetch_add(1, std::memory_order_relaxed) %
-             queues_.size();
-  {
-    std::lock_guard<std::mutex> lock(queues_[q]->mu);
-    queues_[q]->tasks.push_back(std::move(task));
-  }
-  pending_.fetch_add(1, std::memory_order_release);
-  {
-    // Empty critical section pairs with the worker's predicate check so
-    // the notify cannot land between its pending_ read and its wait.
-    std::lock_guard<std::mutex> lock(sleep_mu_);
-  }
-  sleep_cv_.notify_one();
+  cv_.notify_all();
+  for (std::thread& worker : workers_) worker.join();
 }
 
 void ThreadPool::Submit(Task task) {
   submitted_.fetch_add(1, std::memory_order_relaxed);
-  if (queues_.empty()) {
-    auto start = std::chrono::steady_clock::now();
-    task();
-    busy_us_.fetch_add(
-        std::chrono::duration_cast<std::chrono::microseconds>(
-            std::chrono::steady_clock::now() - start)
-            .count(),
-        std::memory_order_relaxed);
-    executed_.fetch_add(1, std::memory_order_relaxed);
+  if (workers_.empty()) {
+    Execute(task);
     return;
   }
-  Push(std::move(task));
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    queue_.push_back(std::move(task));
+  }
+  cv_.notify_one();
 }
 
-bool ThreadPool::TryRunOne(size_t home) {
-  Task task;
-  size_t n = queues_.size();
-  bool stole = false;
-  for (size_t offset = 0; offset < n && !task; ++offset) {
-    size_t q = (home + offset) % n;
-    Deque& deque = *queues_[q];
-    std::lock_guard<std::mutex> lock(deque.mu);
-    if (deque.tasks.empty()) continue;
-    if (offset == 0 && home < n) {
-      task = std::move(deque.tasks.front());
-      deque.tasks.pop_front();
-    } else {
-      task = std::move(deque.tasks.back());
-      deque.tasks.pop_back();
-      stole = true;
-    }
-  }
-  if (!task) return false;
-  pending_.fetch_sub(1, std::memory_order_relaxed);
-  if (stole) stolen_.fetch_add(1, std::memory_order_relaxed);
+void ThreadPool::Execute(Task& task) {
   auto start = std::chrono::steady_clock::now();
   task();
   busy_us_.fetch_add(std::chrono::duration_cast<std::chrono::microseconds>(
@@ -86,92 +41,29 @@ bool ThreadPool::TryRunOne(size_t home) {
                          .count(),
                      std::memory_order_relaxed);
   executed_.fetch_add(1, std::memory_order_relaxed);
-  return true;
 }
 
-void ThreadPool::WorkerLoop(size_t index) {
+void ThreadPool::WorkerLoop() {
   for (;;) {
-    if (TryRunOne(index)) continue;
-    std::unique_lock<std::mutex> lock(sleep_mu_);
-    if (shutdown_) return;
-    sleep_cv_.wait(lock, [this] {
-      return shutdown_ || pending_.load(std::memory_order_acquire) > 0;
-    });
-    if (shutdown_) return;
-  }
-}
-
-void ThreadPool::RunBatch(std::vector<Task> tasks) {
-  if (tasks.empty()) return;
-  submitted_.fetch_add(tasks.size(), std::memory_order_relaxed);
-  if (queues_.empty()) {
-    for (Task& task : tasks) {
-      auto start = std::chrono::steady_clock::now();
-      task();
-      busy_us_.fetch_add(
-          std::chrono::duration_cast<std::chrono::microseconds>(
-              std::chrono::steady_clock::now() - start)
-              .count(),
-          std::memory_order_relaxed);
-      executed_.fetch_add(1, std::memory_order_relaxed);
+    Task task;
+    {
+      std::unique_lock<std::mutex> lock(mu_);
+      cv_.wait(lock, [this] { return shutdown_ || !queue_.empty(); });
+      if (shutdown_) return;
+      task = std::move(queue_.front());
+      queue_.pop_front();
     }
-    return;
+    Execute(task);
   }
-
-  // The caller may hold locks that tasks queued by *other* subsystems
-  // need (flow strands taking manager monitors or the store lock), so it
-  // must never pop arbitrary deque entries here — that could self-
-  // deadlock. The batch lives in its own claim-by-index structure; the
-  // caller and the helper jobs pushed below claim exclusively from it.
-  struct Batch {
-    std::vector<Task> tasks;
-    std::atomic<size_t> next{0};
-    std::mutex mu;
-    std::condition_variable cv;
-    size_t remaining;
-  };
-  auto batch = std::make_shared<Batch>();
-  batch->tasks = std::move(tasks);
-  batch->remaining = batch->tasks.size();
-  auto run_claimed = [this, batch]() -> bool {
-    size_t i = batch->next.fetch_add(1, std::memory_order_relaxed);
-    if (i >= batch->tasks.size()) return false;
-    auto start = std::chrono::steady_clock::now();
-    batch->tasks[i]();
-    busy_us_.fetch_add(
-        std::chrono::duration_cast<std::chrono::microseconds>(
-            std::chrono::steady_clock::now() - start)
-            .count(),
-        std::memory_order_relaxed);
-    executed_.fetch_add(1, std::memory_order_relaxed);
-    std::lock_guard<std::mutex> lock(batch->mu);
-    if (--batch->remaining == 0) batch->cv.notify_all();
-    return true;
-  };
-  size_t helpers = std::min(queues_.size(), batch->tasks.size());
-  submitted_.fetch_add(helpers, std::memory_order_relaxed);
-  for (size_t i = 0; i < helpers; ++i) {
-    Push([run_claimed] {
-      while (run_claimed()) {
-      }
-    });
-  }
-  // Participate until the batch index is exhausted, then wait for tasks
-  // other threads claimed but have not finished. Progress is guaranteed:
-  // every claimed task is actively executing on some thread.
-  while (run_claimed()) {
-  }
-  std::unique_lock<std::mutex> lock(batch->mu);
-  batch->cv.wait(lock, [&batch] { return batch->remaining == 0; });
 }
 
 ThreadPool::StatsSnapshot ThreadPool::Stats() const {
   StatsSnapshot snapshot;
   snapshot.submitted = submitted_.load(std::memory_order_relaxed);
   snapshot.executed = executed_.load(std::memory_order_relaxed);
-  snapshot.stolen = stolen_.load(std::memory_order_relaxed);
-  snapshot.queue_depth = pending_.load(std::memory_order_relaxed);
   snapshot.busy_us = busy_us_.load(std::memory_order_relaxed);
+  std::lock_guard<std::mutex> lock(mu_);
+  snapshot.queue_depth = queue_.size();
   return snapshot;
 }
 

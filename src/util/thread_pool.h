@@ -1,27 +1,26 @@
-// A small work-stealing thread pool for intra-node parallelism.
+// A small FIFO thread pool: the workers behind a node's per-flow strands
+// (core/flow_executor.h).
 //
-// Design points, in the order they mattered:
+// Design points:
 //   * `num_threads` counts the *caller* too: a pool built with N spawns
-//     N-1 workers, and RunBatch has the calling thread participate. A
-//     pool with num_threads == 1 therefore spawns no threads at all and
-//     degenerates to inline execution — the sequential path stays the
-//     sequential path, with no handoff and no extra synchronization.
-//   * Per-worker deques with stealing: RunBatch distributes tasks
-//     round-robin across the worker deques; an idle worker first drains
-//     its own deque (front), then steals from a sibling (back). The
-//     batch caller steals from everyone.
+//     N-1 workers. A pool with num_threads == 1 therefore spawns no
+//     threads at all and runs every Submit inline on the calling thread —
+//     the sequential path stays the sequential path, with no handoff and
+//     no extra synchronization.
+//   * One mutex-guarded FIFO. Strands keep per-flow order themselves, so
+//     the pool only needs to hand each task to some idle worker; the
+//     queue depth is read under the same lock that pushes and pops, so
+//     the gauge can never see a task claimed before it was counted.
 //   * Workers sleep on a condition variable when there is no work — the
-//     pool must be parked inside every Node without burning a core, and
-//     busy-spinning on a single-core box would *invert* any speedup.
-//   * No dependency on obs/: stats are plain relaxed atomics, sampled
-//     into the metrics registry by whoever owns the pool (see
-//     core::Node's `exec.*` gauges). util/ stays the base layer.
+//     pool must be parked inside every Node without burning a core.
+//   * No dependency on obs/: stats are plain counters, sampled into the
+//     metrics registry by whoever owns the pool (see core::Node's
+//     `exec.*` gauges). util/ stays the base layer.
 //
 // Lifetime: tasks must not outlive the pool; the destructor drains
 // nothing — it wakes the workers and joins them after their current
-// task, so callers (Node, evaluator batches) must reach quiescence
-// first. RunBatch always returns with all its tasks completed, which is
-// the only completion guarantee the evaluator needs.
+// task, so callers (Node drains its strands first) must reach quiescence
+// before destroying it.
 
 #ifndef CODB_UTIL_THREAD_POOL_H_
 #define CODB_UTIL_THREAD_POOL_H_
@@ -31,7 +30,6 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -55,47 +53,33 @@ class ThreadPool {
   // calling thread (still counted in the stats).
   void Submit(Task task);
 
-  // Runs every task to completion before returning; the calling thread
-  // participates, so progress is guaranteed even when all workers are
-  // busy with other work (or when there are no workers at all).
-  void RunBatch(std::vector<Task> tasks);
-
   // Plain counters for the owner to export as metrics.
   struct StatsSnapshot {
     uint64_t submitted = 0;    // tasks handed to the pool
     uint64_t executed = 0;     // tasks completed
-    uint64_t stolen = 0;       // tasks taken from a non-home deque
     uint64_t queue_depth = 0;  // instantaneous queued-but-unclaimed
     uint64_t busy_us = 0;      // cumulative task execution time
   };
   StatsSnapshot Stats() const;
 
  private:
-  struct Deque {
-    std::mutex mu;
-    std::deque<Task> tasks;
-  };
-
-  void WorkerLoop(size_t index);
-  // Claims one task (own deque front first, then steal siblings' backs;
-  // `home` == queues_.size() for the batch caller) and runs it.
-  bool TryRunOne(size_t home);
-  void Push(Task task);
+  void WorkerLoop();
+  // Runs `task` and charges it to the executed/busy counters.
+  void Execute(Task& task);
 
   const int num_threads_;
-  std::vector<std::unique_ptr<Deque>> queues_;
-  std::vector<std::thread> workers_;
 
-  std::mutex sleep_mu_;
-  std::condition_variable sleep_cv_;
-  bool shutdown_ = false;
+  mutable std::mutex mu_;
+  std::condition_variable cv_;
+  std::deque<Task> queue_;  // guarded by mu_
+  bool shutdown_ = false;   // guarded by mu_
 
-  std::atomic<uint64_t> pending_{0};
   std::atomic<uint64_t> submitted_{0};
   std::atomic<uint64_t> executed_{0};
-  std::atomic<uint64_t> stolen_{0};
   std::atomic<uint64_t> busy_us_{0};
-  std::atomic<uint64_t> next_queue_{0};
+
+  // Last: the workers use every member above.
+  std::vector<std::thread> workers_;
 };
 
 }  // namespace codb

@@ -8,12 +8,6 @@ Result<std::unique_ptr<Testbed>> Testbed::Create(
     const GeneratedNetwork& generated, Options options) {
   auto testbed = std::unique_ptr<Testbed>(new Testbed());
   testbed->generated_ = generated;
-  if (options.node_threads > 0) {
-    options.node.exec.num_threads = options.node_threads;
-  }
-  if (options.concurrent_flows) {
-    options.node.exec.concurrent_flows = true;
-  }
   testbed->options_ = options;
   if (options.threaded) {
     testbed->network_ = std::make_unique<ThreadedNetwork>();

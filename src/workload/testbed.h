@@ -25,6 +25,8 @@ namespace codb {
 class Testbed {
  public:
   struct Options {
+    // Options of every spawned node; node.exec.num_threads > 1 runs flows
+    // on per-flow strands when `threaded` is set (core/node.h).
     Node::Options node;
     // Events the initial settle run may consume (discovery + config).
     uint64_t settle_event_cap = 1'000'000;
@@ -39,12 +41,6 @@ class Testbed {
     // settle run, so discovery and the config broadcast stay fault-free
     // while all experiment traffic rides the unreliable network.
     FaultProfile fault;
-    // Convenience knobs over node.exec (core/node.h): when node_threads
-    // is > 0 it overrides node.exec.num_threads on every spawned node;
-    // concurrent_flows likewise. Benches and tests flip these instead of
-    // reaching into node.exec.
-    int node_threads = 0;
-    bool concurrent_flows = false;
     // Membership layer (DESIGN.md §11): when true every node — and every
     // super-peer — runs a HeartbeatSession after the deployment settled.
     // Beacon traffic rides the maintenance lane, so Run()-driven tests

@@ -1,6 +1,6 @@
 // Concurrent flow admission under the threaded runtime: several query
 // flows race one global update on nodes with per-flow strands enabled
-// (Node::ExecOptions::concurrent_flows). The update inserts monotonically
+// (Node::ExecOptions::num_threads > 1). The update inserts monotonically
 // (kJoinCopy derives no deletions and no nulls), so every racing query
 // must observe a store *sandwiched* between the pre-update and the
 // post-update state:
@@ -36,8 +36,7 @@ ConjunctiveQuery Q(const std::string& text) {
 Testbed::Options ConcurrentOptions() {
   Testbed::Options options;
   options.threaded = true;
-  options.concurrent_flows = true;
-  options.node_threads = 2;
+  options.node.exec.num_threads = 2;
   options.node.link_profile.latency_us = 200;
   options.node.link_profile.bandwidth_bpus = 0;
   return options;

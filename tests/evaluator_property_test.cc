@@ -4,13 +4,9 @@
 // an evaluator bug (plan ordering, index probing, comparison placement,
 // dedup) by construction.
 //
-// Every case additionally re-runs under the partitioned-join parallel
-// path (num_threads = 4, min_parallel_rows = 1) and requires the output
-// *sequence* — not just the set — to match the sequential run: the
-// parallel evaluator promises byte-identical results (see
-// query/evaluator.h). A second suite draws the schema itself at random
-// (relation count, arities, instance sizes) so the fixed r/s/t shape
-// cannot mask shape-dependent bugs.
+// A second suite draws the schema itself at random (relation count,
+// arities, instance sizes) so the fixed r/s/t shape cannot mask
+// shape-dependent bugs.
 
 #include <gtest/gtest.h>
 
@@ -22,7 +18,6 @@
 #include "query/evaluator.h"
 #include "relation/database.h"
 #include "util/random.h"
-#include "util/thread_pool.h"
 
 namespace codb {
 namespace {
@@ -181,35 +176,15 @@ std::set<Tuple> BruteForce(const RandomCase& c) {
   return out;
 }
 
-// Pool shared across cases: building threads per case would dominate the
-// sweep's runtime for no extra coverage.
-ThreadPool& SharedPool() {
-  static ThreadPool pool(4);
-  return pool;
-}
-
-EvalOptions ForcedParallel() {
-  EvalOptions options;
-  options.num_threads = 4;
-  options.pool = &SharedPool();
-  options.min_parallel_rows = 1;  // parallelize even the tiny test inputs
-  return options;
-}
-
-// Runs the compiled query sequentially and in parallel, checks the dedup
-// promise and the byte-identical-sequence promise, and returns the
-// sequential rows for the brute-force comparison.
-std::vector<Tuple> EvaluateBothPaths(const CompiledQuery& compiled,
-                                     const Database& db) {
-  std::vector<Tuple> sequential = compiled.Evaluate(db);
-  std::set<Tuple> deduped(sequential.begin(), sequential.end());
+// Evaluates the compiled query, checks the dedup promise, and returns
+// the rows for the brute-force comparison.
+std::vector<Tuple> EvaluateDeduped(const CompiledQuery& compiled,
+                                   const Database& db) {
+  std::vector<Tuple> rows = compiled.Evaluate(db);
+  std::set<Tuple> deduped(rows.begin(), rows.end());
   // Evaluate() promises dedup: no row may appear twice.
-  EXPECT_EQ(deduped.size(), sequential.size());
-
-  std::vector<Tuple> parallel = compiled.Evaluate(db, ForcedParallel());
-  EXPECT_EQ(parallel, sequential)
-      << "parallel evaluation diverged from the sequential sequence";
-  return sequential;
+  EXPECT_EQ(deduped.size(), rows.size());
+  return rows;
 }
 
 class EvaluatorDifferentialSweep
@@ -223,8 +198,7 @@ TEST_P(EvaluatorDifferentialSweep, MatchesBruteForce) {
       CompiledQuery::Compile(c.query, c.schema, c.output_vars);
   ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
 
-  std::vector<Tuple> actual_rows =
-      EvaluateBothPaths(compiled.value(), c.db);
+  std::vector<Tuple> actual_rows = EvaluateDeduped(compiled.value(), c.db);
   std::set<Tuple> actual(actual_rows.begin(), actual_rows.end());
   EXPECT_EQ(actual, BruteForce(c));
 }
@@ -326,8 +300,7 @@ TEST_P(RandomSchemaSweep, MatchesBruteForce) {
       CompiledQuery::Compile(c.query, c.schema, c.output_vars);
   ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
 
-  std::vector<Tuple> actual_rows =
-      EvaluateBothPaths(compiled.value(), c.db);
+  std::vector<Tuple> actual_rows = EvaluateDeduped(compiled.value(), c.db);
   std::set<Tuple> actual(actual_rows.begin(), actual_rows.end());
   EXPECT_EQ(actual, BruteForce(c));
 }

@@ -5,10 +5,7 @@
 // semantics and therefore doubles as the oracle. The tentpole claim: after
 // every delta batch the two deployments hold byte-identical stores (for
 // null-free rule styles), with exactly-once completion callbacks, across
-// four topologies (including the cyclic ring) and eight seeds. The
-// incremental side also runs with four-way intra-node parallelism forced,
-// so the equivalence suite is simultaneously the 4-thread determinism
-// check for the delta path.
+// four topologies (including the cyclic ring) and eight seeds.
 //
 // On failure the SCOPED_TRACE line prints topology, style and seed;
 // replaying is one --gtest_filter away.
@@ -156,16 +153,8 @@ NetworkInstance Canonical(NetworkInstance instances) {
 // sequence starts from (the incremental contract: the network has been
 // synchronized at least once).
 std::unique_ptr<Testbed> SpawnSynchronized(const GeneratedNetwork& generated,
-                                           const std::string& initiator,
-                                           int num_threads) {
-  Testbed::Options options;
-  if (num_threads > 1) {
-    options.node_threads = num_threads;
-    // Force the parallel path even for tiny test frontiers.
-    options.node.exec.min_parallel_rows = 1;
-  }
-  Result<std::unique_ptr<Testbed>> testbed =
-      Testbed::Create(generated, options);
+                                           const std::string& initiator) {
+  Result<std::unique_ptr<Testbed>> testbed = Testbed::Create(generated);
   EXPECT_TRUE(testbed.ok()) << testbed.status().ToString();
   if (!testbed.ok()) return nullptr;
   Result<FlowId> baseline = testbed.value()->RunGlobalUpdate(initiator);
@@ -230,16 +219,12 @@ TEST_P(IncrementalEquivalenceSweep, MatchesRefreshOracleBatchByBatch) {
                " style=" + StyleName(options.style) +
                " seed=" + std::to_string(seed) + " initiator=" + initiator);
 
-  // Three deployments off the same network: incremental at one thread,
-  // incremental at four threads, and the refresh oracle (sequential).
+  // Two deployments off the same network: incremental, and the refresh
+  // oracle.
   std::unique_ptr<Testbed> incremental =
-      SpawnSynchronized(generated, initiator, /*num_threads=*/1);
-  std::unique_ptr<Testbed> incremental4 =
-      SpawnSynchronized(generated, initiator, /*num_threads=*/4);
-  std::unique_ptr<Testbed> oracle_bed =
-      SpawnSynchronized(generated, initiator, /*num_threads=*/1);
+      SpawnSynchronized(generated, initiator);
+  std::unique_ptr<Testbed> oracle_bed = SpawnSynchronized(generated, initiator);
   ASSERT_NE(incremental, nullptr);
-  ASSERT_NE(incremental4, nullptr);
   ASSERT_NE(oracle_bed, nullptr);
 
   const std::vector<DeltaBatch> batches = MakeBatches(initiator_index, seed);
@@ -247,7 +232,6 @@ TEST_P(IncrementalEquivalenceSweep, MatchesRefreshOracleBatchByBatch) {
   for (size_t b = 0; b < batches.size(); ++b) {
     SCOPED_TRACE("batch " + std::to_string(b));
     ASSERT_TRUE(InsertBatch(*incremental, initiator, batches[b]).ok());
-    ASSERT_TRUE(InsertBatch(*incremental4, initiator, batches[b]).ok());
     ASSERT_TRUE(InsertBatch(*oracle_bed, initiator, batches[b]).ok());
     for (const auto& [relation, rows] : batches[b]) {
       Instance& instance = initial[initiator];
@@ -256,7 +240,6 @@ TEST_P(IncrementalEquivalenceSweep, MatchesRefreshOracleBatchByBatch) {
     }
 
     RunIncrementalOnce(*incremental, initiator);
-    RunIncrementalOnce(*incremental4, initiator);
     Result<FlowId> refresh = oracle_bed->RunGlobalRefresh(initiator);
     ASSERT_TRUE(refresh.ok()) << refresh.status().ToString();
     EXPECT_TRUE(oracle_bed->AllComplete(refresh.value()));
@@ -266,14 +249,11 @@ TEST_P(IncrementalEquivalenceSweep, MatchesRefreshOracleBatchByBatch) {
     // failure names the divergent store.
     NetworkInstance expected = Canonical(oracle_bed->Snapshot());
     NetworkInstance got = Canonical(incremental->Snapshot());
-    NetworkInstance got4 = Canonical(incremental4->Snapshot());
     ASSERT_EQ(expected.size(), got.size());
     for (const auto& [node, instance] : expected) {
       ASSERT_TRUE(got.count(node) > 0) << "missing node " << node;
       EXPECT_EQ(got.at(node), instance)
           << "incremental store diverged from refresh oracle at " << node;
-      EXPECT_EQ(got4.at(node), instance)
-          << "4-thread incremental store diverged at " << node;
     }
   }
 
@@ -328,9 +308,9 @@ TEST(IncrementalExistentialTest, ProjectAndMultiHeadHomEquivalent) {
                    " seed=" + std::to_string(seed));
 
       std::unique_ptr<Testbed> incremental =
-          SpawnSynchronized(generated, initiator, /*num_threads=*/1);
+          SpawnSynchronized(generated, initiator);
       std::unique_ptr<Testbed> oracle_bed =
-          SpawnSynchronized(generated, initiator, /*num_threads=*/1);
+          SpawnSynchronized(generated, initiator);
       ASSERT_NE(incremental, nullptr);
       ASSERT_NE(oracle_bed, nullptr);
 
@@ -376,9 +356,9 @@ TEST(IncrementalPropertyTest, RandomNetworksRandomDeltaBatches) {
                  StyleName(options.style) + " initiator=" + initiator);
 
     std::unique_ptr<Testbed> incremental =
-        SpawnSynchronized(generated, initiator, /*num_threads=*/1);
+        SpawnSynchronized(generated, initiator);
     std::unique_ptr<Testbed> oracle_bed =
-        SpawnSynchronized(generated, initiator, /*num_threads=*/1);
+        SpawnSynchronized(generated, initiator);
     ASSERT_NE(incremental, nullptr);
     ASSERT_NE(oracle_bed, nullptr);
 
@@ -496,9 +476,8 @@ TEST(IncrementalWorkTest, DeltaEvalReadsFarFewerRowsThanRefresh) {
   const std::string initiator = NodeName(options.nodes - 1);
 
   std::unique_ptr<Testbed> incremental =
-      SpawnSynchronized(generated, initiator, /*num_threads=*/1);
-  std::unique_ptr<Testbed> oracle_bed =
-      SpawnSynchronized(generated, initiator, /*num_threads=*/1);
+      SpawnSynchronized(generated, initiator);
+  std::unique_ptr<Testbed> oracle_bed = SpawnSynchronized(generated, initiator);
   ASSERT_NE(incremental, nullptr);
   ASSERT_NE(oracle_bed, nullptr);
 
@@ -536,8 +515,7 @@ TEST(IncrementalEdgeTest, EmptyDeltaTerminatesWithoutChangingAnything) {
   options.tuples_per_node = 3;
   GeneratedNetwork generated = MakeChain(options);
   const std::string initiator = NodeName(options.nodes - 1);
-  std::unique_ptr<Testbed> bed =
-      SpawnSynchronized(generated, initiator, /*num_threads=*/1);
+  std::unique_ptr<Testbed> bed = SpawnSynchronized(generated, initiator);
   ASSERT_NE(bed, nullptr);
 
   NetworkInstance before = Canonical(bed->Snapshot());
@@ -561,8 +539,7 @@ TEST(IncrementalEdgeTest, ReRunAfterConsumedDeltaShipsNothing) {
   options.tuples_per_node = 3;
   GeneratedNetwork generated = MakeChain(options);
   const std::string initiator = NodeName(options.nodes - 1);
-  std::unique_ptr<Testbed> bed =
-      SpawnSynchronized(generated, initiator, /*num_threads=*/1);
+  std::unique_ptr<Testbed> bed = SpawnSynchronized(generated, initiator);
   ASSERT_NE(bed, nullptr);
 
   DeltaBatch batch;

@@ -1,18 +1,18 @@
 // Unit tests for the intra-node concurrency primitives (DESIGN.md §10):
-// the work-stealing thread pool, the sharded reader/writer store lock,
-// the per-flow strand executor, and the wrapper's journal serialization.
+// the FIFO thread pool, the sharded reader/writer store lock, the
+// per-flow strand executor, and the wrapper's journal serialization.
 // Each test pins one contract the integration suites rely on; the
-// regression tests at the bottom encode bugs that were possible designs
-// (a batch caller stealing foreign work while holding a lock; journal
-// appends racing once writers touch disjoint shards).
+// regression tests encode real or possible bugs (a queue-depth gauge
+// wrapping below zero; journal appends racing once writers touch
+// disjoint shards).
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <mutex>
-#include <shared_mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -31,36 +31,22 @@ namespace {
 
 // -- ThreadPool --------------------------------------------------------------
 
-TEST(ThreadPoolTest, RunBatchCompletesEveryTask) {
-  ThreadPool pool(4);
-  std::atomic<int> count{0};
-  std::vector<ThreadPool::Task> tasks;
-  for (int i = 0; i < 100; ++i) {
-    tasks.push_back([&count] { count.fetch_add(1); });
-  }
-  pool.RunBatch(std::move(tasks));
-  EXPECT_EQ(count.load(), 100);
-
-  // Helper no-op jobs may still sit in the deques (RunBatch returns as
-  // soon as the *batch* completes), so queue_depth is not asserted here.
-  ThreadPool::StatsSnapshot stats = pool.Stats();
-  EXPECT_GE(stats.executed, 100u);
-}
-
 TEST(ThreadPoolTest, SingleThreadPoolRunsInline) {
   // num_threads counts the caller: a pool of 1 spawns no workers and
-  // RunBatch degenerates to a plain loop on the calling thread.
+  // Submit runs each task on the calling thread before returning.
   ThreadPool pool(1);
   std::thread::id caller = std::this_thread::get_id();
   bool all_inline = true;
-  std::vector<ThreadPool::Task> tasks;
+  int ran = 0;
   for (int i = 0; i < 10; ++i) {
-    tasks.push_back([&all_inline, caller] {
+    pool.Submit([&all_inline, &ran, caller] {
       if (std::this_thread::get_id() != caller) all_inline = false;
+      ++ran;
     });
+    EXPECT_EQ(ran, i + 1) << "Submit returned before its task ran";
   }
-  pool.RunBatch(std::move(tasks));
   EXPECT_TRUE(all_inline);
+  EXPECT_EQ(pool.Stats().executed, 10u);
 }
 
 TEST(ThreadPoolTest, SubmitRunsFireAndForgetTasks) {
@@ -79,35 +65,45 @@ TEST(ThreadPoolTest, SubmitRunsFireAndForgetTasks) {
                           [&] { return count == 20; }));
 }
 
-TEST(ThreadPoolTest, RunBatchNeverExecutesForeignQueuedWork) {
-  // Regression: RunBatch's caller participates, but must claim only batch
-  // tasks. If it popped arbitrary deque work it could run a flow task
-  // that takes a write lock the caller already holds in read mode —
-  // exactly the FireInitial-evaluates-while-ApplyHeadTuples-queued shape.
-  // Setup: the caller holds `mu` shared, a submitted foreign task wants
-  // it exclusive. RunBatch must finish without the caller touching the
-  // foreign task, even though the only worker is free to block on it.
-  ThreadPool pool(2);
-  std::shared_mutex mu;
-  std::atomic<bool> foreign_done{false};
-
-  mu.lock_shared();
-  pool.Submit([&] {
-    std::unique_lock<std::shared_mutex> exclusive(mu);
-    foreign_done.store(true);
-  });
-
-  std::atomic<int> count{0};
-  std::vector<ThreadPool::Task> tasks;
-  for (int i = 0; i < 50; ++i) {
-    tasks.push_back([&count] { count.fetch_add(1); });
+TEST(ThreadPoolTest, QueueDepthNeverExceedsSubmitted) {
+  // The depth must count a task before any worker can claim it: a
+  // counter raised after the task is published lets a worker count it
+  // down first, and the unsigned gauge reads 2^64 - k. Two producers
+  // submit while a sampler polls the depth: no sample may exceed the
+  // number of tasks ever submitted.
+  constexpr int kProducers = 2;
+  constexpr uint64_t kTasksPerProducer = 50000;
+  constexpr uint64_t kTotal = kProducers * kTasksPerProducer;
+  std::atomic<uint64_t> done{0};
+  uint64_t samples = 0;
+  uint64_t max_depth = 0;
+  {
+    ThreadPool pool(4);
+    std::atomic<bool> stop{false};
+    std::thread sampler([&] {
+      do {
+        max_depth = std::max(max_depth, pool.Stats().queue_depth);
+        ++samples;
+      } while (!stop.load());
+    });
+    std::vector<std::thread> producers;
+    for (int p = 0; p < kProducers; ++p) {
+      producers.emplace_back([&pool, &done] {
+        for (uint64_t i = 0; i < kTasksPerProducer; ++i) {
+          pool.Submit(
+              [&done] { done.fetch_add(1, std::memory_order_relaxed); });
+        }
+      });
+    }
+    for (std::thread& producer : producers) producer.join();
+    while (done.load() < kTotal) std::this_thread::yield();
+    stop.store(true);
+    sampler.join();
+    EXPECT_EQ(pool.Stats().queue_depth, 0u);
   }
-  pool.RunBatch(std::move(tasks));  // deadlocks here if the caller steals
-  EXPECT_EQ(count.load(), 50);
-  EXPECT_FALSE(foreign_done.load());
-
-  mu.unlock_shared();
-  while (!foreign_done.load()) std::this_thread::yield();
+  EXPECT_EQ(done.load(), kTotal);
+  EXPECT_GT(samples, 0u);
+  EXPECT_LE(max_depth, kTotal) << "queue depth wrapped below zero";
 }
 
 // -- ShardedRWLock -----------------------------------------------------------

@@ -161,7 +161,7 @@ INSTANTIATE_TEST_SUITE_P(
         ::testing::Values(RuleStyle::kCopy, RuleStyle::kProject,
                           RuleStyle::kJoin, RuleStyle::kFilter,
                           RuleStyle::kMultiHead, RuleStyle::kJoinCopy),
-        ::testing::Values(1u, 7u, 42u)),
+        ::testing::Values(1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u, 42u)),
     [](const ::testing::TestParamInfo<SweepParam>& info) {
       return std::string(TopologyName(std::get<0>(info.param))) +
              StyleName(std::get<1>(info.param)) + "Seed" +
