@@ -4,7 +4,6 @@ namespace codb {
 
 void ExportMemory::SyncRules(
     const std::map<std::string, std::string>& fingerprints) {
-  std::lock_guard<std::mutex> lock(mu_);
   std::erase_if(rules_, [&](const auto& entry) {
     return fingerprints.count(entry.first) == 0;
   });
@@ -18,13 +17,11 @@ void ExportMemory::SyncRules(
 }
 
 uint64_t ExportMemory::NewEpoch() {
-  std::lock_guard<std::mutex> lock(mu_);
   return next_epoch_++;
 }
 
 size_t ExportMemory::Admit(const std::string& rule_id, uint64_t epoch,
                            bool incremental, std::vector<Tuple>& frontiers) {
-  std::lock_guard<std::mutex> lock(mu_);
   std::unordered_map<Tuple, uint64_t, TupleHash>& shipped =
       rules_[rule_id].shipped;
   size_t suppressed = 0;
@@ -45,27 +42,23 @@ size_t ExportMemory::Admit(const std::string& rule_id, uint64_t epoch,
 }
 
 bool ExportMemory::Record(const std::string& rule_id, const Tuple& frontier) {
-  std::lock_guard<std::mutex> lock(mu_);
   return rules_[rule_id].shipped.try_emplace(frontier, 0).second;
 }
 
 bool ExportMemory::Seen(const std::string& rule_id,
                         const Tuple& frontier) const {
-  std::lock_guard<std::mutex> lock(mu_);
   auto it = rules_.find(rule_id);
   return it != rules_.end() && it->second.shipped.count(frontier) != 0;
 }
 
 void ExportMemory::Forget(const std::string& rule_id,
                           const std::vector<Tuple>& frontiers) {
-  std::lock_guard<std::mutex> lock(mu_);
   auto it = rules_.find(rule_id);
   if (it == rules_.end()) return;
   for (const Tuple& frontier : frontiers) it->second.shipped.erase(frontier);
 }
 
 void ExportMemory::Reset() {
-  std::lock_guard<std::mutex> lock(mu_);
   for (auto& [rule_id, memory] : rules_) memory.shipped.clear();
 }
 

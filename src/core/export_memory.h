@@ -15,7 +15,8 @@
 //     holds it, so the semi-naive flow must not re-ship (or, for rules
 //     with existential head variables, re-mint nulls for) it.
 // The memory lives in the Node (like the update sequence counter) so it
-// survives the manager rebuilds a reconfiguration performs.
+// survives the manager rebuilds a reconfiguration performs. It takes no
+// lock: every caller holds Node::mutex_ (DESIGN.md §10).
 //
 // Invariant: a recorded frontier has been handed to the reliability
 // layer for shipment to the importer. On a send failure the caller
@@ -30,7 +31,6 @@
 
 #include <cstdint>
 #include <map>
-#include <mutex>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -81,10 +81,6 @@ class ExportMemory {
     std::unordered_map<Tuple, uint64_t, TupleHash> shipped;
   };
 
-  // Own mutex (not the manager's): after a reconfiguration the old
-  // manager may still drain in-flight flows on strands while the new one
-  // is already live, and both point here.
-  mutable std::mutex mu_;
   uint64_t next_epoch_ = 1;
   std::map<std::string, RuleMemory> rules_;
 };

@@ -234,7 +234,6 @@ std::vector<PeerId> FlowEngine::Acquaintances() const {
 bool FlowEngine::LocallyInconsistent() const {
   const NodeDecl* decl = config_->FindNode(node_name_);
   if (decl == nullptr || decl->keys.empty()) return false;
-  ShardedRWLock::ReadAllGuard read_guard(wrapper_->store_lock());
   return !FindKeyViolations(wrapper_->storage(), decl->keys).empty();
 }
 

@@ -143,11 +143,12 @@ class FlowEngine {
   // so untraced handlers never format flow ids.
   static std::string TraceTag(const FlowId& flow);
 
-  // Monitor serializing the engine's handlers, timers and introspection
-  // (DESIGN.md §10): with concurrent flow admission, flow strands,
-  // reliability timers and calls from other threads all enter here.
-  // Recursive because the single-threaded simulator delivers nested
-  // callbacks (pipe-closed, give-ups) from within a handler.
+  // Monitor guarding the engine's handlers against the network's timer
+  // thread (DESIGN.md §10): handlers and API calls arrive under
+  // Node::mutex_, but retransmit give-ups and flow deadlines enter from a
+  // timer without it. Recursive because the single-threaded simulator
+  // delivers nested callbacks (pipe-closed, give-ups) from within a
+  // handler.
   mutable std::recursive_mutex mu_;
 
   NetworkBase* network_;

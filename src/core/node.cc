@@ -12,13 +12,6 @@ namespace codb {
 Node::Node(NetworkBase* network, std::string name)
     : network_(network), name_(std::move(name)) {}
 
-Node::~Node() {
-  // Drain in-flight flow strands before any member dies: strand tasks
-  // hold shared_ptrs to the managers but also touch the wrapper, the
-  // statistics module, and the network binding.
-  if (flow_exec_ != nullptr) flow_exec_->Drain();
-}
-
 Result<std::unique_ptr<Node>> Node::Create(NetworkBase* network,
                                            const std::string& name,
                                            DatabaseSchema schema,
@@ -43,34 +36,8 @@ Result<std::unique_ptr<Node>> Node::Create(NetworkBase* network,
   node->minter_ = std::make_unique<NullMinter>(node->id_.value);
   node->discovery_ =
       std::make_unique<DiscoveryService>(network, node->id_);
-  // The pool behind the flow strands. num_threads == 1 spawns no workers:
-  // every Submit runs inline and the node behaves exactly like the
-  // historical single-threaded build.
-  node->pool_ = std::make_unique<ThreadPool>(options.exec.num_threads);
-  node->flow_exec_ =
-      std::make_unique<FlowExecutor>(node->pool_.get(), network);
   node->AnnounceSelf();
   return node;
-}
-
-bool Node::ConcurrentFlows() const {
-  return options_.exec.num_threads > 1 && network_->SupportsBackgroundWork();
-}
-
-void Node::SampleExecMetrics() {
-  ThreadPool::StatsSnapshot pool = pool_->Stats();
-  MetricsRegistry& metrics = statistics_.metrics();
-  metrics.GetGauge("exec.threads")->Set(pool_->num_threads());
-  metrics.GetGauge("exec.queue_depth")
-      ->Set(static_cast<int64_t>(pool.queue_depth));
-  metrics.GetGauge("exec.tasks_executed")
-      ->Set(static_cast<int64_t>(pool.executed));
-  metrics.GetGauge("exec.worker_busy_us")
-      ->Set(static_cast<int64_t>(pool.busy_us));
-  metrics.GetGauge("exec.lock_wait_us")
-      ->Set(static_cast<int64_t>(wrapper_->store_lock().wait_us()));
-  metrics.GetGauge("exec.active_flows")
-      ->Set(static_cast<int64_t>(flow_exec_->ActiveFlows()));
 }
 
 void Node::AnnounceSelf() {
@@ -218,9 +185,9 @@ Status Node::ApplyConfigLocked(const NetworkConfig& config,
   context.stats = &statistics_;
   context.minter = minter_.get();
   context.reliability = options_.reliability;
-  update_manager_ = std::make_shared<UpdateManager>(
+  update_manager_ = std::make_unique<UpdateManager>(
       context, &update_seq_, export_memory_, options_.update);
-  query_manager_ = std::make_shared<QueryManager>(context, &query_seq_);
+  query_manager_ = std::make_unique<QueryManager>(context, &query_seq_);
   CODB_RETURN_IF_ERROR(update_manager_->Init());
   CODB_RETURN_IF_ERROR(query_manager_->Init());
   // The node outlives both managers, so capturing `this` is safe; the
@@ -552,7 +519,6 @@ void Node::HandleMessage(const Message& message) {
       return;
 
     case MessageType::kStatsRequest:
-      SampleExecMetrics();
       network_->Send(MakeMessage(id_, message.src, MessageType::kStatsReport,
                                  statistics_.SerializeAll()));
       return;
@@ -583,23 +549,10 @@ void Node::DispatchFlowMessage(const Message& message) {
     return;
   }
   const FlowId flow = peeked.value();
-  std::shared_ptr<FlowEngine> engine;
-  if (flow.scope == FlowId::Scope::kUpdate) {
-    engine = update_manager_;
-  } else {
-    engine = query_manager_;
-  }
-  if (engine == nullptr) return;
-  if (ConcurrentFlows()) {
-    // Strand dispatch: per-flow FIFO order, cross-flow concurrency. The
-    // strand task holds the engine, so a reconfiguration swapping managers
-    // cannot pull it out from under a running flow.
-    flow_exec_->Post(flow, [engine, flow, message] {
-      engine->HandleMessage(flow, message);
-    });
-    return;
-  }
-  engine->HandleMessage(flow, message);
+  FlowEngine* engine = flow.scope == FlowId::Scope::kUpdate
+                           ? static_cast<FlowEngine*>(update_manager_.get())
+                           : query_manager_.get();
+  if (engine != nullptr) engine->HandleMessage(flow, message);
 }
 
 void Node::HandlePipeClosed(PeerId other) {

@@ -22,7 +22,6 @@
 #include <vector>
 
 #include "core/config.h"
-#include "core/flow_executor.h"
 #include "core/link_graph.h"
 #include "core/query_manager.h"
 #include "core/statistics.h"
@@ -32,34 +31,17 @@
 #include "net/discovery.h"
 #include "net/network_interface.h"
 #include "storage/storage.h"
-#include "util/thread_pool.h"
 #include "wrapper/wrapper.h"
 
 namespace codb {
 
-// Intra-node execution (DESIGN.md §10). The default keeps the historical
-// single-threaded node: flow handlers run inline.
-// (Namespace scope, not nested: nested-class member initializers are
-// late-parsed and cannot back a default argument of the enclosing class.)
-struct NodeExecOptions {
-  // Threads of the node's pool, the caller included. Above 1, flow-scoped
-  // messages run on per-flow strands of that pool instead of inline, so
-  // query flows and the update flow overlap. Only honored on runtimes
-  // that support background work (the threaded network); the
-  // deterministic simulator always handles inline.
-  int num_threads = 1;
-};
-
 class Node : public NetworkPeer {
  public:
-  using ExecOptions = NodeExecOptions;
-
   struct Options {
     UpdateManager::Options update;
     LinkProfile link_profile;  // profile of the pipes this node opens
     // At-least-once delivery for both managers (core/reliability.h).
     ReliabilityOptions reliability;
-    ExecOptions exec;
     // Skip the discovery announcement flood. Discovery costs O(n·E)
     // messages and O(n) advertisement cache per node — the first wall a
     // thousand-peer deployment hits — and membership-era benches do not
@@ -72,7 +54,7 @@ class Node : public NetworkPeer {
   // transient store instead of an LDB). (Overload instead of a defaulted
   // Options argument: Options has member initializers, which are
   // late-parsed and cannot back a default argument of the enclosing
-  // class — same reason NodeExecOptions is namespace scope.)
+  // class.)
   static Result<std::unique_ptr<Node>> Create(NetworkBase* network,
                                               const std::string& name,
                                               DatabaseSchema schema,
@@ -84,7 +66,6 @@ class Node : public NetworkPeer {
     return Create(network, name, std::move(schema), mediator, Options());
   }
 
-  ~Node() override;
   Node(const Node&) = delete;
   Node& operator=(const Node&) = delete;
 
@@ -210,11 +191,6 @@ class Node : public NetworkPeer {
   StatisticsModule& statistics() { return statistics_; }
   const StatisticsModule& statistics() const { return statistics_; }
   DiscoveryService& discovery() { return *discovery_; }
-  // Flow strands currently in flight (0 once the node is quiescent; the
-  // concurrency tests assert this at teardown).
-  size_t ActiveFlows() const {
-    return flow_exec_ != nullptr ? flow_exec_->ActiveFlows() : 0;
-  }
 
   // The textual "UI": schema, pipes, links, per-update reports (Figure 1's
   // UI module / Figure 2's query window).
@@ -267,20 +243,14 @@ class Node : public NetworkPeer {
   // managers cancel retransmissions/deficits toward the dead peer.
   void OnPeerEvicted(PeerId peer);
 
-  // True when flow-scoped messages go to per-flow strands instead of
-  // running inline under mutex_.
-  bool ConcurrentFlows() const;
-
   // Routes a flow-scoped message (acks and receipts included) to the
-  // engine of its peeked scope, either inline or on the flow's strand.
+  // engine of its peeked scope, inline under mutex_.
   void DispatchFlowMessage(const Message& message);
 
-  // Publishes the exec.* gauges (pool + store-lock health) into the
-  // metrics registry; called when a stats report is cut.
-  void SampleExecMetrics();
-
-  // Serializes the public API against the node's own message handlers:
-  // on the threaded runtime an initiator keeps receiving replies while
+  // Serializes the public API and the eviction fan-out against the node's
+  // own message handlers (DESIGN.md §10): everything that touches the
+  // store, the export memory, the pending delta or the journal holds it.
+  // On the threaded runtime an initiator keeps receiving replies while
   // StartGlobalUpdate / StartQuery are still mutating its state.
   // Recursive because the single-threaded simulator delivers pipe-closed
   // notifications synchronously from within a handler.
@@ -315,10 +285,8 @@ class Node : public NetworkPeer {
   // Mirror of !pending_pipe_retries_.empty(), readable without mutex_ so
   // the heartbeat fast path can skip the lock.
   std::atomic<bool> has_pending_pipe_retries_{false};
-  // shared_ptr: strand tasks capture the manager at dispatch, so a
-  // reconfiguration can swap managers while old flows finish safely.
-  std::shared_ptr<UpdateManager> update_manager_;
-  std::shared_ptr<QueryManager> query_manager_;
+  std::unique_ptr<UpdateManager> update_manager_;
+  std::unique_ptr<QueryManager> query_manager_;
   uint64_t update_seq_ = 0;  // survive manager rebuilds: ids stay unique
   uint64_t query_seq_ = 0;
   // Cross-update export memory (DESIGN.md §14): node-owned for the same
@@ -326,11 +294,6 @@ class Node : public NetworkPeer {
   // what was already exported to each importer must not be forgotten.
   ExportMemory export_memory_;
   std::set<uint32_t> rule_pipes_;  // peers we opened pipes to, per config
-  // Declared after the managers and pool_ before flow_exec_: destruction
-  // runs flow_exec_ first (draining in-flight strand tasks, which still
-  // use the managers and the pool), then the pool, then the managers.
-  std::unique_ptr<ThreadPool> pool_;
-  std::unique_ptr<FlowExecutor> flow_exec_;
 };
 
 }  // namespace codb

@@ -24,10 +24,7 @@ QueryManager::QueryState& QueryManager::StateOf(const FlowId& query) {
 Database& QueryManager::OverlayOf(QueryState& state) {
   if (state.overlay == nullptr) {
     state.overlay = std::make_unique<Database>();
-    // Copy-on-start snapshot of the shared store: bracketed as a reader
-    // (wrapper locking contract) so a concurrent update flow's writes
-    // never interleave with the copy.
-    ShardedRWLock::ReadAllGuard read_guard(wrapper_->store_lock());
+    // Copy-on-start snapshot of the store.
     const Database& storage = wrapper_->storage();
     for (const std::string& name : storage.RelationNames()) {
       const Relation* relation = storage.Find(name);

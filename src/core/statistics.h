@@ -85,12 +85,12 @@ struct StatsBundle {
   MetricsSnapshot metrics;
 };
 
-// Thread-safety: the report *map* is guarded by an internal mutex (the
-// update and query managers insert reports from different flow strands).
-// The UpdateReport& that ReportFor hands out stays valid forever
-// (std::map nodes are stable) and is mutated without the lock — safe
-// because a report's fields are only written by its own flow, whose
-// handlers the owning manager serializes (DESIGN.md §10).
+// Thread-safety: the report *map* is guarded by an internal mutex (a
+// flow deadline inserts its report from the network's timer thread,
+// outside Node::mutex_). The UpdateReport& that ReportFor hands out
+// stays valid forever (std::map nodes are stable) and is mutated without
+// the lock — safe because a report's fields are only written by its own
+// flow, whose handlers the owning manager serializes (DESIGN.md §10).
 class StatisticsModule {
  public:
   // Creates (if needed) and returns the report for an update.

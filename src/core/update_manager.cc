@@ -173,26 +173,20 @@ void UpdateManager::FireInitial(const FlowId& update, UpdateState& state,
       Tracer::Global().BeginSpanHere("update.rule_eval", TraceTag(update)));
   Tracer::Global().AddArg(span.id(), "rule", rule_id);
   std::vector<Tuple> frontiers;
-  {
-    // Rule evaluation composes direct storage() reads, so the caller
-    // brackets them (wrapper locking contract): shared on every shard,
-    // excluding concurrent writers but not other readers.
-    ShardedRWLock::ReadAllGuard read_guard(wrapper_->store_lock());
-    // Work accounting for the semi-naive comparison (E17): a full eval
-    // reads every body relation end to end, a delta eval the delta.
-    uint64_t input_rows = 0;
-    if (delta == nullptr) {
-      for (const std::string& relation : rule.BodyRelations()) {
-        const Relation* body = wrapper_->storage().Find(relation);
-        if (body != nullptr) input_rows += body->size();
-      }
-      frontiers = rule.EvaluateFrontier(wrapper_->storage());
-    } else {
-      frontiers = rule.EvaluateFrontierDeltas(wrapper_->storage(), *delta,
-                                              &input_rows);
+  // Work accounting for the semi-naive comparison (E17): a full eval
+  // reads every body relation end to end, a delta eval the delta.
+  uint64_t input_rows = 0;
+  if (delta == nullptr) {
+    for (const std::string& relation : rule.BodyRelations()) {
+      const Relation* body = wrapper_->storage().Find(relation);
+      if (body != nullptr) input_rows += body->size();
     }
-    m_eval_rows_->Add(input_rows);
+    frontiers = rule.EvaluateFrontier(wrapper_->storage());
+  } else {
+    frontiers =
+        rule.EvaluateFrontierDeltas(wrapper_->storage(), *delta, &input_rows);
   }
+  m_eval_rows_->Add(input_rows);
   span.End();
   ShipFrontiers(update, state, rule_id, std::move(frontiers),
                 /*path=*/{self_.value});
@@ -432,12 +426,8 @@ void UpdateManager::OnData(const Message& message) {
         "update.rule_eval", TraceTag(update)));
     Tracer::Global().AddArg(eval_span.id(), "rule", dependent);
     uint64_t input_rows = 0;
-    std::vector<Tuple> frontiers;
-    {
-      ShardedRWLock::ReadAllGuard read_guard(wrapper_->store_lock());
-      frontiers =
-          rule.EvaluateFrontierDeltas(wrapper_->storage(), delta, &input_rows);
-    }
+    std::vector<Tuple> frontiers =
+        rule.EvaluateFrontierDeltas(wrapper_->storage(), delta, &input_rows);
     m_eval_rows_->Add(input_rows);
     eval_span.End();
     ShipFrontiers(update, state, dependent, std::move(frontiers),

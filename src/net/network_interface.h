@@ -117,19 +117,6 @@ class NetworkBase {
     return RunUntil(now_us() + duration_us);
   }
 
-  // -- background work ------------------------------------------------------
-  // A peer that hands message processing to its own executor (concurrent
-  // flow admission, see core::Node) must keep the network's quiescence
-  // accounting honest: bracket each off-thread unit of work with
-  // BeginExternalWork / EndExternalWork so Run() does not return while
-  // flow handlers are still running on a node's pool. Peers must only do
-  // this when SupportsBackgroundWork() is true — the discrete-event
-  // simulator runs everything inline and has no notion of work it did
-  // not schedule itself.
-  virtual bool SupportsBackgroundWork() const { return false; }
-  virtual void BeginExternalWork() {}
-  virtual void EndExternalWork() {}
-
   virtual TransportStats& stats() = 0;
   virtual const TransportStats& stats() const = 0;
 

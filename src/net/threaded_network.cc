@@ -478,18 +478,6 @@ void ThreadedNetwork::TimerLoop() {
   }
 }
 
-void ThreadedNetwork::BeginExternalWork() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  ++busy_;
-}
-
-void ThreadedNetwork::EndExternalWork() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  ++events_processed_;
-  --busy_;
-  if (busy_ == 0) quiescent_cv_.notify_all();
-}
-
 uint64_t ThreadedNetwork::Run(uint64_t max_events) {
   (void)max_events;  // the threaded runtime has no event cap
   std::unique_lock<std::mutex> lock(mutex_);

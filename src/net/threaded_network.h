@@ -14,6 +14,10 @@
 //     (messages and pipe-closed notifications are serialized through its
 //     inbox);
 //   * distinct peers run genuinely in parallel;
+//   * scheduled actions (retransmissions and their give-ups, flow
+//     deadlines, heartbeat beacons) run on the timer thread, concurrently
+//     with the peer's own handlers, so whatever they enter locks for
+//     itself (DESIGN.md §10);
 //   * peer-facing API calls (Node::StartGlobalUpdate etc.) must happen
 //     while the network is quiescent — before traffic starts or after
 //     Run() returns (Run() blocks until every inbox is empty, no handler
@@ -84,12 +88,6 @@ class ThreadedNetwork : public NetworkBase {
   // Blocks until the wall clock reaches `deadline_us` (now_us() scale),
   // letting maintenance traffic fire, then drains to quiescence.
   uint64_t RunUntil(int64_t deadline_us) override;
-
-  // Work a peer runs on its own executor (a node's flow strands) joins
-  // the busy_ accounting so Run() waits for it like any inbox item.
-  bool SupportsBackgroundWork() const override { return true; }
-  void BeginExternalWork() override;
-  void EndExternalWork() override;
 
   TransportStats& stats() override { return stats_; }
   const TransportStats& stats() const override { return stats_; }

@@ -21,7 +21,6 @@
 #ifndef CODB_QUERY_RULE_H_
 #define CODB_QUERY_RULE_H_
 
-#include <atomic>
 #include <map>
 #include <optional>
 #include <string>
@@ -35,23 +34,19 @@
 namespace codb {
 
 // Source of fresh marked nulls. Each node owns one, keyed by its peer id,
-// so labels are globally unique without coordination. The counter is
-// atomic because a node's update and query managers share one minter and,
-// under concurrent flow admission, run on different executor strands;
-// each flow's null sequence stays deterministic because rule firings
-// within a flow are serialized (DESIGN.md §10).
+// so labels are globally unique without coordination. A node's update
+// and query managers share one minter; both mint only under the node's
+// mutex (DESIGN.md §10), so the counter needs no synchronization.
 class NullMinter {
  public:
   explicit NullMinter(uint32_t peer) : peer_(peer) {}
 
-  Value Mint() {
-    return Value::Null(peer_, next_.fetch_add(1, std::memory_order_relaxed));
-  }
-  uint64_t minted() const { return next_.load(std::memory_order_relaxed); }
+  Value Mint() { return Value::Null(peer_, next_++); }
+  uint64_t minted() const { return next_; }
 
  private:
   uint32_t peer_;
-  std::atomic<uint64_t> next_{0};
+  uint64_t next_ = 0;
 };
 
 // One head tuple destined for a relation of the importer.

@@ -143,8 +143,8 @@ class Relation {
 
   // Lazily built, incrementally maintained probe indexes. Mutable because
   // probing is logically const. Not internally locked: mutation (inserts,
-  // first-probe builds) happens either on the peer's single event thread
-  // or under the owning Wrapper's store lock (DESIGN.md §10).
+  // first-probe builds) happens on the peer's single handler thread, under
+  // the owning node's mutex (DESIGN.md §10).
   mutable std::vector<ColumnIndex> column_indexes_;
   mutable std::map<std::vector<int>, CompositeIndex> composite_indexes_;
   static const RowIndexList kEmptyBucket;

@@ -25,8 +25,7 @@ namespace codb {
 class Testbed {
  public:
   struct Options {
-    // Options of every spawned node; node.exec.num_threads > 1 runs flows
-    // on per-flow strands when `threaded` is set (core/node.h).
+    // Options of every spawned node (core/node.h).
     Node::Options node;
     // Events the initial settle run may consume (discovery + config).
     uint64_t settle_event_cap = 1'000'000;

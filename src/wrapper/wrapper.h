@@ -11,24 +11,16 @@
 // without touching the DBM. A mediator wrapper owns a transient store laid
 // out after the DBS, which holds relayed data during updates.
 //
-// Locking contract (DESIGN.md §10): once a node admits concurrent flows,
-// the store is shared between the update flow (writer) and query flows
-// (readers building overlays). Mutating wrapper operations
-// (ApplyHeadTuples, DropImported) take the sharded store lock exclusively
-// themselves; read-only operations that a caller composes out of direct
-// storage() access (rule evaluation, overlay copies, snapshots) must be
-// bracketed by the caller with store_lock() guards. Never call a
-// self-locking wrapper method while holding a store_lock() guard — the
-// shard mutexes are not recursive. The journal sink has its own mutex:
-// sinks (the durable WAL) assume serialized appends, which the store lock
-// alone would not guarantee against future non-store writers.
+// Threading (DESIGN.md §10): the wrapper takes no locks. Every caller —
+// the node's handlers on its one delivery thread, the public API and the
+// eviction fan-out — holds Node::mutex_, which serializes store writes
+// and reads, journal appends and the pending delta.
 
 #ifndef CODB_WRAPPER_WRAPPER_H_
 #define CODB_WRAPPER_WRAPPER_H_
 
 #include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <unordered_set>
 #include <vector>
@@ -37,7 +29,6 @@
 #include "query/rule.h"
 #include "relation/database.h"
 #include "relation/wal.h"
-#include "util/sharded_rwlock.h"
 #include "wrapper/dbs_repository.h"
 
 namespace codb {
@@ -80,17 +71,11 @@ class Wrapper {
   // last call: the seed of UpdateManager::StartIncrementalUpdate.
   std::map<std::string, std::vector<Tuple>> TakePendingDelta();
 
-  // Rows currently pending for the next incremental update.
-  size_t PendingDeltaRows() const;
-
   // Removes every tuple previously recorded as imported, keeping local
   // (seeded/user-inserted) data. A refresh update calls this before the
   // initial link evaluation, so source-side deletions propagate: data no
   // longer derivable simply never comes back.
   void DropImported();
-
-  // Number of tuples currently recorded as imported.
-  size_t ImportedCount() const;
 
   // Evaluates a query whose body refers to this node's exported schema.
   // Output layout: the distinguished variables of the (single) head atom,
@@ -105,32 +90,18 @@ class Wrapper {
   // Attaches a journal sink: from now on every tuple that
   // ApplyHeadTuples actually inserts is logged, so a restarted node can
   // rebuild its imports (WriteAheadLog::ReplayInto, or the durable WAL's
-  // recovery). Pass nullptr to detach. The sink is not owned. Appends to
-  // the sink are serialized through an internal mutex (see the locking
-  // contract above).
+  // recovery). Pass nullptr to detach. The sink is not owned.
   void AttachJournal(JournalSink* journal) { journal_ = journal; }
   const JournalSink* journal() const { return journal_; }
 
-  // Reader/writer mediation for the store (see the locking contract
-  // above). Readers take ReadAllGuard/ReadGuard, the update flow's
-  // mutations go through the self-locking methods.
-  ShardedRWLock& store_lock() const { return store_lock_; }
-
  private:
   Wrapper() = default;
-
-  // Creates imported_ entries for every exported relation so later
-  // ApplyHeadTuples calls never restructure the map (see .cc).
-  void PrecreateProvenance();
 
   bool is_mediator_ = false;
   Database* ldb_ = nullptr;                   // null for mediators
   std::unique_ptr<Database> transient_;       // owned store for mediators
   Database* storage_ = nullptr;               // ldb_ or transient_.get()
   JournalSink* journal_ = nullptr;            // optional, not owned
-  mutable ShardedRWLock store_lock_;
-  std::mutex journal_mu_;                     // serializes sink appends
-  mutable std::mutex delta_mu_;               // guards pending_delta_
   // Local inserts not yet shipped by an incremental update, per relation.
   std::map<std::string, std::vector<Tuple>> pending_delta_;
   // Import provenance: per relation, a flag per row position marking the

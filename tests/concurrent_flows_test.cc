@@ -1,17 +1,16 @@
-// Concurrent flow admission under the threaded runtime: several query
-// flows race one global update on nodes with per-flow strands enabled
-// (Node::ExecOptions::num_threads > 1). The update inserts monotonically
-// (kJoinCopy derives no deletions and no nulls), so every racing query
-// must observe a store *sandwiched* between the pre-update and the
-// post-update state:
+// Racing flows under the threaded runtime: several query flows race one
+// global update across the peers' delivery threads. The update inserts
+// monotonically (kJoinCopy derives no deletions and no nulls), so every
+// racing query must observe a store *sandwiched* between the pre-update
+// and the post-update state:
 //
 //     A_pre(n)  ⊆  certain answers of a query racing at n  ⊆  A_post(n)
 //
 // where A_pre/A_post are the node's local d-rows before/after the update.
 // On top of the sandwich, completion callbacks must fire exactly once per
-// flow, and at teardown no strand may be left running and no foreign
-// query state may be leaked anywhere in the network — the no-leak
-// invariants DESIGN.md §10 promises.
+// flow, and at teardown no foreign query state may be leaked anywhere in
+// the network. With durable storage on, the race must also leave every
+// node a journal that replays to exactly its final store.
 
 #include <gtest/gtest.h>
 
@@ -21,6 +20,7 @@
 #include <vector>
 
 #include "query/parser.h"
+#include "storage/fs_util.h"
 #include "workload/testbed.h"
 #include "workload/topology_gen.h"
 
@@ -36,7 +36,6 @@ ConjunctiveQuery Q(const std::string& text) {
 Testbed::Options ConcurrentOptions() {
   Testbed::Options options;
   options.threaded = true;
-  options.node.exec.num_threads = 2;
   options.node.link_profile.latency_us = 200;
   options.node.link_profile.bandwidth_bpus = 0;
   return options;
@@ -54,8 +53,6 @@ bool IsSubset(const std::vector<Tuple>& small,
 
 void ExpectNoLeakedFlows(Testbed& bed) {
   for (const auto& node : bed.nodes()) {
-    EXPECT_EQ(node->ActiveFlows(), 0u)
-        << "strand still active on " << node->name();
     ASSERT_NE(node->query_manager(), nullptr);
     EXPECT_EQ(node->query_manager()->ForeignQueryStates(), 0u)
         << "foreign query state leaked on " << node->name();
@@ -196,8 +193,8 @@ TEST(ConcurrentFlowsTest, RacingFlowsSurviveAnUnreliableNetwork) {
 }
 
 TEST(ConcurrentFlowsTest, BackToBackUpdatesStayExactlyOnce) {
-  // Two sequential updates with concurrent admission enabled: the second
-  // flow's strand must not resurrect or double-complete the first.
+  // Two sequential updates on the threaded runtime: the second flow must
+  // not resurrect or double-complete the first.
   WorkloadOptions options;
   options.nodes = 4;
   options.tuples_per_node = 4;
@@ -223,6 +220,71 @@ TEST(ConcurrentFlowsTest, BackToBackUpdatesStayExactlyOnce) {
   EXPECT_EQ(bed.Snapshot(), after_first);
   EXPECT_TRUE(bed.AllComplete(first.value()));
   ExpectNoLeakedFlows(bed);
+}
+
+TEST(ConcurrentFlowsTest, RacingFlowsLeaveAReplayableJournal) {
+  // The same race with durable storage on: imports land in each node's
+  // WAL from its delivery thread while queries copy the store. Killing
+  // and restarting a node must bring back exactly the store it had, so
+  // the journal must hold every import the race made.
+  WorkloadOptions options;
+  options.nodes = 5;
+  options.tuples_per_node = 6;
+  options.style = RuleStyle::kJoinCopy;
+  GeneratedNetwork generated = MakeChain(options);
+
+  // Empty the per-node directories a previous run (or repeat) left.
+  Testbed::Options testbed_options = ConcurrentOptions();
+  testbed_options.storage.directory =
+      ::testing::TempDir() + "codb_concurrent_flows_journal";
+  for (int i = 0; i < options.nodes; ++i) {
+    std::string dir =
+        testbed_options.storage.directory + "/n" + std::to_string(i);
+    Result<std::vector<std::string>> stale = ListDirectory(dir);
+    if (!stale.ok()) continue;
+    for (const std::string& file : stale.value()) {
+      ASSERT_TRUE(RemoveFile(dir + "/" + file).ok());
+    }
+  }
+
+  Result<std::unique_ptr<Testbed>> testbed =
+      Testbed::Create(generated, testbed_options);
+  ASSERT_TRUE(testbed.ok()) << testbed.status().ToString();
+  Testbed& bed = *testbed.value();
+
+  const ConjunctiveQuery kQuery = Q("q(K, V) :- d(K, V).");
+  const std::vector<std::string> kQueryNodes = {"n1", "n2", "n3", "n4"};
+  const auto seeded = bed.node("n1")->database().Snapshot();
+
+  Result<FlowId> update = bed.node("n0")->StartGlobalUpdate();
+  ASSERT_TRUE(update.ok()) << update.status().ToString();
+  std::vector<FlowId> queries;
+  for (const std::string& name : kQueryNodes) {
+    Result<FlowId> query = bed.node(name)->StartQuery(kQuery);
+    ASSERT_TRUE(query.ok()) << query.status().ToString();
+    queries.push_back(query.value());
+  }
+
+  bed.network().Run();
+
+  EXPECT_TRUE(bed.AllComplete(update.value()));
+  for (size_t i = 0; i < kQueryNodes.size(); ++i) {
+    EXPECT_TRUE(bed.node(kQueryNodes[i])->QueryDone(queries[i]))
+        << "query at " << kQueryNodes[i];
+  }
+  ExpectNoLeakedFlows(bed);
+  ASSERT_NE(bed.node("n1")->database().Snapshot(), seeded)
+      << "the race imported nothing into n1";
+
+  for (const std::string& name : kQueryNodes) {
+    SCOPED_TRACE("restarted node " + name);
+    const auto before = bed.node(name)->database().Snapshot();
+    ASSERT_TRUE(bed.KillNode(name).ok());
+    Result<Node*> revived = bed.RestartNode(name);
+    ASSERT_TRUE(revived.ok()) << revived.status().ToString();
+    // No re-seeding happened: the store came back from checkpoint + WAL.
+    EXPECT_EQ(revived.value()->database().Snapshot(), before);
+  }
 }
 
 }  // namespace
