@@ -152,13 +152,19 @@ void Run() {
   // delta, not the database". The first update after the sync is reported
   // apart from the steady state (the median of the other nine), because
   // any dedup state the full update left behind is paid for there. The
-  // binary gates itself at the 10-row point and exits non-zero when the
-  // delta does not beat the full recompute by 10x in eval rows, or when
-  // the first update's wall exceeds max(5x the steady wall, 2 ms).
+  // first update's messages and wire bytes come from the transport
+  // counters: an incremental flow is data-driven, so it sends no request,
+  // closes no link, and each data message brings one D-S ack and one
+  // completion. The binary gates itself at the 10-row point and exits
+  // non-zero when the delta does not beat the full recompute by 10x in
+  // eval rows, when the first update's wall exceeds max(5x the steady
+  // wall, 2 ms), or when the first update sent a request or a link-closed
+  // message or more than 3 messages per data message.
   Print("\nE17: incremental (semi-naive) update vs full recompute"
         " (chain 5x20000)\n");
-  Print("%8s | %12s %12s %12s | %12s %12s | %8s\n", "delta", "first wall",
-        "steady wall", "incr virt", "incr rows", "full rows", "ratio");
+  Print("%8s | %12s %12s %12s | %12s %12s | %8s | %6s %8s\n", "delta",
+        "first wall", "steady wall", "incr virt", "incr rows", "full rows",
+        "ratio", "msgs", "wire B");
   constexpr int kIncrNodes = 5;
   constexpr int kIncrTuples = 20000;  // ~100k rows network-wide
   constexpr int kIncrUpdates = 10;    // per delta size: first + 9 steady
@@ -166,6 +172,9 @@ void Run() {
   uint64_t gate_incr = 0;
   double gate_first_ms = 0;
   double gate_steady_ms = 0;
+  uint64_t gate_messages = 0;
+  uint64_t gate_data = 0;
+  uint64_t gate_flood = 0;  // requests + link-closed
   for (int delta_size : {1, 10, 100, 10000}) {
     WorkloadOptions options;
     options.nodes = kIncrNodes;
@@ -192,9 +201,19 @@ void Run() {
     bed->network().Run();
     const uint64_t full_rows = eval_rows();
 
+    const TransportStats& net = bed->network().stats();
+    auto flood_messages = [&net] {
+      return net.MessagesOfType(MessageType::kUpdateRequest) +
+             net.MessagesOfType(MessageType::kLinkClosed);
+    };
+
     double first_wall_ms = 0;
     int64_t first_virtual = 0;
     uint64_t first_rows = 0;
+    uint64_t first_messages = 0;
+    uint64_t first_bytes = 0;
+    uint64_t first_data = 0;
+    uint64_t first_flood = 0;
     std::vector<double> steady_walls_ms;
     for (int run = 0; run < kIncrUpdates; ++run) {
       // Fresh keys clear of every node's seeded range and earlier runs.
@@ -210,6 +229,10 @@ void Run() {
       }
 
       const uint64_t rows_before = eval_rows();
+      const uint64_t messages_before = net.total_messages();
+      const uint64_t bytes_before = net.total_bytes();
+      const uint64_t data_before = net.MessagesOfType(MessageType::kUpdateData);
+      const uint64_t flood_before = flood_messages();
       int64_t start_virtual = bed->network().now_us();
       Stopwatch wall;
       bed->node(initiator)->StartIncrementalUpdate().value();
@@ -219,6 +242,10 @@ void Run() {
         first_wall_ms = wall_ms;
         first_virtual = bed->network().now_us() - start_virtual;
         first_rows = eval_rows() - rows_before;
+        first_messages = net.total_messages() - messages_before;
+        first_bytes = net.total_bytes() - bytes_before;
+        first_data = net.MessagesOfType(MessageType::kUpdateData) - data_before;
+        first_flood = flood_messages() - flood_before;
       } else {
         steady_walls_ms.push_back(wall_ms);
       }
@@ -234,6 +261,9 @@ void Run() {
       gate_incr = first_rows;
       gate_first_ms = first_wall_ms;
       gate_steady_ms = steady_wall_ms;
+      gate_messages = first_messages;
+      gate_data = first_data;
+      gate_flood = first_flood;
     }
 
     std::string scenario = "incremental/delta" + std::to_string(delta_size);
@@ -247,18 +277,25 @@ void Run() {
       obj.Set("full_eval_rows", JsonValue::Uint(full_rows));
       obj.Set("delta_rows", JsonValue::Uint(static_cast<uint64_t>(delta_size)));
       obj.Set("eval_rows_ratio", JsonValue::Number(ratio));
+      obj.Set("incr_messages", JsonValue::Uint(first_messages));
+      obj.Set("incr_wire_bytes", JsonValue::Uint(first_bytes));
       RecordJson(std::move(obj));
     }
-    Print("%8d | %10.2fms %10.2fms %10lldus | %12llu %12llu | %7.0fx\n",
+    Print("%8d | %10.2fms %10.2fms %10lldus | %12llu %12llu | %7.0fx | "
+          "%6llu %8llu\n",
           delta_size, first_wall_ms, steady_wall_ms,
           static_cast<long long>(first_virtual),
           static_cast<unsigned long long>(first_rows),
-          static_cast<unsigned long long>(full_rows), ratio);
+          static_cast<unsigned long long>(full_rows), ratio,
+          static_cast<unsigned long long>(first_messages),
+          static_cast<unsigned long long>(first_bytes));
   }
-  Print("\nfirst wall / incr virt / incr rows: the first incremental update\n"
-        "after the sync; steady wall: median of the next %d. incr rows =\n"
-        "update.eval_rows charged to that first run; semi-naive work tracks\n"
-        "the delta while the full recompute scans the whole store.\n",
+  Print("\nfirst wall / incr virt / incr rows / msgs / wire B: the first\n"
+        "incremental update after the sync; steady wall: median of the next\n"
+        "%d. incr rows = update.eval_rows charged to that first run;\n"
+        "semi-naive work tracks the delta while the full recompute scans the\n"
+        "whole store. msgs and wire B count every message the first run\n"
+        "sent: data, D-S acks and completions.\n",
         kIncrUpdates - 1);
   if (gate_incr == 0 || gate_full < 10 * gate_incr) {
     std::fprintf(stderr,
@@ -274,6 +311,17 @@ void Run() {
                  "%.2f ms vs %.2f ms steady (need <= max(5x steady, "
                  "2 ms))\n",
                  gate_first_ms, gate_steady_ms);
+    std::exit(1);
+  }
+  if (gate_flood > 0 || gate_messages > 3 * gate_data) {
+    std::fprintf(stderr,
+                 "E17 GATE FAILED: first 10-row incremental update sent %llu "
+                 "messages, %llu of them data and %llu request/link-closed "
+                 "(need no request or link-closed and <= 3 per data "
+                 "message)\n",
+                 static_cast<unsigned long long>(gate_messages),
+                 static_cast<unsigned long long>(gate_data),
+                 static_cast<unsigned long long>(gate_flood));
     std::exit(1);
   }
 }

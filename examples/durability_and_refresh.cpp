@@ -1,6 +1,7 @@
 // Durability and maintenance: the write-ahead journal, crash recovery,
-// refresh updates (deletion propagation), and key-constraint handling —
-// the operational side of running a coDB node for real.
+// refresh updates (deletion propagation), incremental updates, and
+// key-constraint handling — the operational side of running a coDB node
+// for real.
 //
 //   build/examples/durability_and_refresh
 
@@ -118,7 +119,36 @@ rule mirror hq <- branch : account(I, B) :- account(I, B).
             << codb::FormatRelation(*hq->database().Find("account"))
             << "\n";
 
-  // -- 4. Key constraints: inconsistency does not propagate -----------------
+  // -- 4. Ship only what changed: an incremental update --------------------
+  // InsertLocal writes the branch's store and keeps the row as the pending
+  // delta; the incremental update ships that delta, and only to the peers
+  // it reaches (here hq).
+  const Tuple opened{Value::Int(3), Value::Int(75)};
+  Check(branch->InsertLocal("account", {opened}), "insert");
+  int fired = 0;
+  Check(branch->StartIncrementalUpdate([&](const codb::FlowId& update) {
+          ++fired;
+          // Fires exactly once; the report's aborted flag is set on a
+          // deadline.
+          const codb::UpdateReport* report =
+              branch->statistics().FindReport(update);
+          if (report != nullptr && report->aborted) {
+            std::cout << "incremental update aborted\n";
+          }
+        }),
+        "incremental update");
+  network.Run();
+  if (fired != 1 || !hq->database().Find("account")->Contains(opened)) {
+    std::cerr << "incremental update: callback fired " << fired
+              << " times; hq should hold account 3\n";
+    return 1;
+  }
+  std::cout << "after the branch opened account 3 and shipped just that "
+            << "row:\n"
+            << codb::FormatRelation(*hq->database().Find("account"))
+            << "\n";
+
+  // -- 5. Key constraints: inconsistency does not propagate -----------------
   // The branch (no key declared there) ends up with two balances for
   // account 1 — but hq declares account(id) as a key, so if hq itself
   // were inconsistent it would stop exporting. Here the violation is at

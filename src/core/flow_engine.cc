@@ -201,10 +201,11 @@ Status FlowEngine::SendBasic(const FlowId& flow, PeerId dst, MessageType type,
 }
 
 void FlowEngine::Flood(const FlowId& flow, MessageType type,
-                       const std::vector<uint8_t>& payload, PeerId skip) {
-  for (PeerId neighbor : Acquaintances()) {
-    if (neighbor == skip) continue;
-    reliable_.Send(MakeMessage(self_, neighbor, type, payload), flow,
+                       const std::vector<uint8_t>& payload,
+                       const std::vector<PeerId>& targets, PeerId skip) {
+  for (PeerId target : targets) {
+    if (target == skip) continue;
+    reliable_.Send(MakeMessage(self_, target, type, payload), flow,
                    /*basic=*/false);
   }
 }

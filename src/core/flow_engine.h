@@ -121,11 +121,12 @@ class FlowEngine {
   Status SendBasic(const FlowId& flow, PeerId dst, MessageType type,
                    std::vector<uint8_t> payload);
 
-  // Floods a completion message of `flow` to every acquaintance except
+  // Sends a completion message of `flow` to each of `targets` except
   // `skip`. Not basic (the computation is over), but sequenced and
   // retransmitted: a lost completion would leave per-flow state behind.
   void Flood(const FlowId& flow, MessageType type,
-             const std::vector<uint8_t>& payload, PeerId skip);
+             const std::vector<uint8_t>& payload,
+             const std::vector<PeerId>& targets, PeerId skip);
 
   Result<PeerId> ResolvePeer(const std::string& node_name) const;
 

@@ -118,8 +118,8 @@ class Node : public NetworkPeer {
   // accumulated through InsertLocal: work proportional to the delta, not
   // the store (DESIGN.md §14). Requires a prior full/refresh update to
   // have synchronized the network; `refresh` remains the full-semantics
-  // oracle. An empty pending delta is legal (the flood still runs and
-  // completes).
+  // oracle. Only the peers the delta reaches take part. An empty pending
+  // delta is legal: the flow completes at once without sending anything.
   Result<FlowId> StartIncrementalUpdate(
       UpdateManager::CompletionFn on_complete = nullptr);
 

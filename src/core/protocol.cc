@@ -77,7 +77,6 @@ std::vector<uint8_t> UpdateRequestPayload::Serialize() const {
   WireWriter writer;
   WriteFlowId(writer, update);
   writer.WriteU8(refresh ? 1 : 0);
-  writer.WriteU8(incremental ? 1 : 0);
   return writer.Take();
 }
 
@@ -88,8 +87,6 @@ Result<UpdateRequestPayload> UpdateRequestPayload::Deserialize(
   CODB_ASSIGN_OR_RETURN(out.update, ReadFlowId(reader));
   CODB_ASSIGN_OR_RETURN(uint8_t refresh, reader.ReadU8());
   out.refresh = refresh != 0;
-  CODB_ASSIGN_OR_RETURN(uint8_t incremental, reader.ReadU8());
-  out.incremental = incremental != 0;
   return out;
 }
 
@@ -98,6 +95,7 @@ Result<UpdateRequestPayload> UpdateRequestPayload::Deserialize(
 std::vector<uint8_t> UpdateDataPayload::Serialize() const {
   WireWriter writer;
   WriteFlowId(writer, update);
+  writer.WriteU8(incremental ? 1 : 0);
   writer.WriteString(rule_id);
   writer.WriteU32List(path);
   WriteHeadTuples(writer, tuples);
@@ -109,6 +107,8 @@ Result<UpdateDataPayload> UpdateDataPayload::Deserialize(
   WireReader reader(payload);
   UpdateDataPayload out;
   CODB_ASSIGN_OR_RETURN(out.update, ReadFlowId(reader));
+  CODB_ASSIGN_OR_RETURN(uint8_t incremental, reader.ReadU8());
+  out.incremental = incremental != 0;
   CODB_ASSIGN_OR_RETURN(out.rule_id, reader.ReadString());
   CODB_ASSIGN_OR_RETURN(out.path, reader.ReadU32List());
   CODB_ASSIGN_OR_RETURN(out.tuples, ReadHeadTuples(reader));

@@ -42,16 +42,14 @@ struct FlowId {
 
 // -- global update -----------------------------------------------------------
 
+// Flooded over every acquaintance by a full or refresh update; the first
+// one a peer receives joins it. An incremental update sends none: its
+// data messages engage the peers the delta reaches.
 struct UpdateRequestPayload {
   FlowId update;
   // Refresh updates first drop every previously imported tuple, so
   // source-side deletions propagate network-wide.
   bool refresh = false;
-  // Incremental (semi-naive) updates skip the full-store initial link
-  // evaluation everywhere: only the initiator fires, seeded by its local
-  // delta batch, and propagation carries deltas only (DESIGN.md §14).
-  // Mutually exclusive with `refresh`.
-  bool incremental = false;
 
   std::vector<uint8_t> Serialize() const;
   static Result<UpdateRequestPayload> Deserialize(
@@ -66,13 +64,18 @@ struct UpdateDataPayload {
   std::string rule_id;
   std::vector<uint32_t> path;
   std::vector<HeadTuple> tuples;
+  // Incremental (semi-naive) flow: no request precedes its data, so the
+  // first data message a peer receives joins it in that mode (DESIGN.md
+  // §14). On the wire right after the FlowId.
+  bool incremental = false;
 
   std::vector<uint8_t> Serialize() const;
   static Result<UpdateDataPayload> Deserialize(
       const std::vector<uint8_t>& payload);
 };
 
-// Exporter -> importer: no more data will arrive through `rule_id`.
+// Exporter -> importer: no more data will arrive through `rule_id`. Full
+// and refresh updates only; an incremental update closes no links.
 struct LinkClosedPayload {
   FlowId update;
   std::string rule_id;
@@ -101,7 +104,10 @@ struct DeliveryAckPayload {
       const std::vector<uint8_t>& payload);
 };
 
-// Flooded by the initiator once its diffusing computation has terminated.
+// Sent by the initiator once its diffusing computation has terminated and
+// passed on by each peer that receives it: over every acquaintance in a
+// full or refresh update, and in an incremental one only to the importers
+// the peer shipped data to.
 struct UpdateCompletePayload {
   FlowId update;
   std::vector<uint8_t> Serialize() const;

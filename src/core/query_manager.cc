@@ -288,7 +288,7 @@ void QueryManager::FinishRoot(const FlowId& query) {
   // would leak per-query overlays.
   done_flood_seen_.insert(query);
   Flood(query, MessageType::kQueryDone, QueryDonePayload{query}.Serialize(),
-        /*skip=*/PeerId());
+        Acquaintances(), /*skip=*/PeerId());
 }
 
 void QueryManager::OnDone(const Message& message) {
@@ -302,7 +302,7 @@ void QueryManager::OnDone(const Message& message) {
   if (it != queries_.end() && !it->second.owned) {
     queries_.erase(it);
   }
-  Flood(query, MessageType::kQueryDone, message.payload,
+  Flood(query, MessageType::kQueryDone, message.payload, Acquaintances(),
         /*skip=*/message.src);
 }
 

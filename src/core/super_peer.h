@@ -41,6 +41,8 @@ namespace codb {
 // one global update, built from the per-node reports collected.
 struct AggregatedUpdateStats {
   FlowId update;
+  // Nodes holding a report of the update. For an incremental update that
+  // is only the peers its delta reached.
   size_t nodes_reporting = 0;
   int64_t total_virtual_us = -1;   // max complete - min start across nodes
   // The endpoints total_virtual_us was computed from, kept so a federation

@@ -139,12 +139,16 @@ void UpdateManager::Join(const FlowId& update, PeerId via, bool refresh,
   }
 
   // "These acquaintances ... propagate the global update to their
-  // acquaintances" — flood the request, skipping where it came from.
-  UpdateRequestPayload request{update, refresh, incremental};
-  for (PeerId neighbor : Acquaintances()) {
-    if (neighbor == via) continue;
-    SendBasic(update, neighbor, MessageType::kUpdateRequest,
-              request.Serialize());
+  // acquaintances" — flood the request, skipping where it came from. An
+  // incremental flow floods nothing: its data engages the peers it
+  // reaches.
+  if (!incremental) {
+    UpdateRequestPayload request{update, refresh};
+    for (PeerId neighbor : Acquaintances()) {
+      if (neighbor == via) continue;
+      SendBasic(update, neighbor, MessageType::kUpdateRequest,
+                request.Serialize());
+    }
   }
 
   // Initial link evaluations. Full/refresh updates evaluate every
@@ -232,6 +236,7 @@ void UpdateManager::ShipFrontiers(const FlowId& update, UpdateState& state,
     size_t end = std::min(begin + batch_size, total);
     UpdateDataPayload data;
     data.update = update;
+    data.incremental = state.incremental;
     data.rule_id = rule_id;
     data.path = path;
     if (begin == 0 && end == total) {
@@ -255,6 +260,7 @@ void UpdateManager::ShipFrontiers(const FlowId& update, UpdateState& state,
       if (options_.dedup_sent) export_memory_.Forget(rule_id, frontiers);
       return;
     }
+    state.shipped_to.insert(importer.value());
     m_data_out_->Add();
     m_tuples_shipped_->Add(data.tuples.size());
 
@@ -321,8 +327,7 @@ void UpdateManager::OnRequest(const Message& message) {
   m_requests_in_->Add();
   ScopedSpan span(
       Tracer::Global().BeginSpanHere("update.request", TraceTag(update)));
-  Join(update, message.src, parsed.value().refresh,
-       parsed.value().incremental);
+  Join(update, message.src, parsed.value().refresh, /*incremental=*/false);
 }
 
 void UpdateManager::OnData(const Message& message) {
@@ -343,12 +348,12 @@ void UpdateManager::OnData(const Message& message) {
   ScopedSpan span(
       Tracer::Global().BeginSpanHere("update.data", TraceTag(update)));
   Tracer::Global().AddArg(span.id(), "rule", data.rule_id);
-  // Data can only come from a joined acquaintance, which always floods the
-  // request first on the same FIFO pipe — but a pipe created mid-update
-  // (dynamic topology) can skip that, so join defensively (the refresh
-  // and incremental flags, if any, arrived with the request on the same
-  // pipe).
-  Join(update, message.src, /*refresh=*/false, /*incremental=*/false);
+  // An incremental flow's first data message joins its receiver, in the
+  // mode the data carries. A full flow's data follows the request on the
+  // same FIFO pipe, so the receiver has joined already — unless the pipe
+  // was created mid-update (dynamic topology); then join defensively (a
+  // refresh flag, if any, arrived with the request).
+  Join(update, message.src, /*refresh=*/false, data.incremental);
   UpdateState& state = StateOf(update);
 
   // Statistics for this data message.
@@ -473,7 +478,9 @@ bool UpdateManager::OutgoingQuiet(const UpdateState& state,
 }
 
 void UpdateManager::CheckClosing(const FlowId& update, UpdateState& state) {
-  if (!state.joined) return;
+  // An incremental flow opens no links to close: the root's D-S
+  // termination ends it.
+  if (!state.joined || state.incremental) return;
 
   bool progressed = true;
   while (progressed) {
@@ -533,9 +540,20 @@ void UpdateManager::Complete(const FlowId& update, PeerId via) {
   report.complete_virtual_us = network_->now_us();
 
   // A lost completion would leave cyclic links open forever on the
-  // receiving side; the flood is sequenced and retransmitted.
+  // receiving side; the flood is sequenced and retransmitted. An
+  // incremental flow engaged only the peers its data reached, and each of
+  // them heard from an exporter that shipped to it, so its completion
+  // follows the data edges.
+  std::vector<PeerId> targets;
+  if (state.incremental) {
+    for (PeerId importer : state.shipped_to) {
+      if (Reachable(importer)) targets.push_back(importer);
+    }
+  } else {
+    targets = Acquaintances();
+  }
   Flood(update, MessageType::kUpdateComplete,
-        UpdateCompletePayload{update}.Serialize(), /*skip=*/via);
+        UpdateCompletePayload{update}.Serialize(), targets, /*skip=*/via);
   CODB_LOG(kInfo) << node_name_ << ": " << update.ToString() << " complete";
 
   // Root-side completion callback, exactly once: the state.complete guard

@@ -24,6 +24,14 @@
 //                 when the initiator's diffusing computation detects global
 //                 quiescence and floods UpdateComplete.
 //
+//   incremental:  no request and no closing. The initiator evaluates its
+//                 incoming links over its delta only and ships the result;
+//                 a peer joins on its first data(u,...) and forwards only
+//                 non-empty deltas, as above. The initiator's D-S
+//                 termination ends u, and UpdateComplete follows the data
+//                 edges: each peer passes it to the importers it shipped
+//                 to, so exactly the peers the delta reached take part.
+//
 // Termination is guaranteed: path labels bound every tuple's journey by
 // the number of nodes, even for cyclic rules with existential variables.
 
@@ -92,13 +100,13 @@ class UpdateManager : public FlowEngine {
 
   // Starts an incremental (semi-naive) global update seeded by `delta`:
   // instead of the full-store initial evaluation, every incoming link
-  // fires EvaluateFrontierDelta over the delta relations only, and
-  // non-initiator nodes skip the initial firing entirely — propagation
-  // carries deltas end to end, so the work is proportional to the delta,
-  // not the store. Requires the delta tuples to already be in the local
-  // store (Wrapper::InsertLocal does both). Assumes the network was
-  // synchronized by a prior full/refresh update; frontiers recorded in
-  // the export memory are not re-shipped.
+  // fires EvaluateFrontierDeltas over the delta relations only. The data
+  // it ships engages its receivers; no request is flooded and no link
+  // closes, so only the peers the delta reaches take part, and the work
+  // is proportional to the delta, not the store. Requires the delta
+  // tuples to already be in the local store (Wrapper::InsertLocal does
+  // both). Assumes the network was synchronized by a prior full/refresh
+  // update; frontiers recorded in the export memory are not re-shipped.
   FlowId StartIncrementalUpdate(DeltaMap delta,
                                 CompletionFn on_complete = nullptr);
 
@@ -133,14 +141,18 @@ class UpdateManager : public FlowEngine {
     bool joined = false;
     bool complete = false;
     // Semi-naive update: initial firing is delta-seeded (initiator) or
-    // skipped (everyone else), and shipments skip what earlier flows
-    // exported.
+    // skipped (everyone else), shipments skip what earlier flows
+    // exported, no link closes, and completion follows `shipped_to`.
     bool incremental = false;
     // Local inconsistency at join time: exports are suppressed for the
     // whole update (paper principle (d)).
     bool exports_suppressed = false;
     std::map<std::string, IncomingLinkState> incoming;
     std::map<std::string, OutgoingLinkState> outgoing;
+    // Importers this node shipped data to in this flow. Protocol state,
+    // kept apart from the report's result_destinations: completion must
+    // not depend on statistics.
+    std::set<PeerId> shipped_to;
   };
 
   UpdateState& StateOf(const FlowId& update);
@@ -160,10 +172,11 @@ class UpdateManager : public FlowEngine {
                              const DeltaMap* delta,
                              CompletionFn on_complete);
 
-  // Marks the node joined: floods the request onward (skipping `via`, the
-  // peer it came from, if any) and fires the initial link evaluations.
-  // Refresh joins drop imported tuples before evaluating; incremental
-  // joins fire over `delta` (the initiator) or nothing (delta == null).
+  // Marks the node joined and fires the initial link evaluations. A full
+  // or refresh join first floods the request onward (skipping `via`, the
+  // peer it came from, if any); refresh joins drop imported tuples before
+  // evaluating. Incremental joins flood nothing and fire over `delta`
+  // (the initiator) or nothing (delta == null).
   void Join(const FlowId& update, PeerId via, bool refresh,
             bool incremental, const DeltaMap* delta = nullptr);
 
@@ -187,7 +200,7 @@ class UpdateManager : public FlowEngine {
                      const std::vector<uint32_t>& path);
 
   // Inductive link closing; records node-closed time when the last
-  // outgoing link closes.
+  // outgoing link closes. Incremental flows close no links.
   void CheckClosing(const FlowId& update, UpdateState& state);
 
   // True if outgoing link `rule_id` can no longer deliver data (closed by
@@ -195,7 +208,9 @@ class UpdateManager : public FlowEngine {
   bool OutgoingQuiet(const UpdateState& state,
                      const std::string& rule_id) const;
 
-  // Marks the update complete locally and floods kUpdateComplete onward.
+  // Marks the update complete locally and passes kUpdateComplete on,
+  // skipping `via`: to every acquaintance, or in an incremental flow to
+  // the importers this node shipped data to.
   void Complete(const FlowId& update, PeerId via);
 
   Options options_;

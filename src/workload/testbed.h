@@ -104,7 +104,9 @@ class Testbed {
   // (Node::InsertLocal since the last incremental update).
   Result<FlowId> RunIncrementalUpdate(const std::string& initiator);
 
-  // True if every node that joined `update` observed completion.
+  // True if every node that joined `update` observed completion. Peers an
+  // incremental flow never reached are not joined: its data engages only
+  // the peers the delta reaches.
   bool AllComplete(const FlowId& update) const;
 
   // Every node's current store, for oracle comparison.

@@ -659,9 +659,9 @@ TEST(FaultTortureTest, MidIncrementalSilentDeathAbortsExactlyOnce) {
 
   EXPECT_EQ(fired, 1) << "completion callback must fire exactly once";
   // The root aborted and the reachable side of the break learned it; n0,
-  // stranded behind the corpse, can never receive the completion flood —
-  // if the request beat the kill across n1 it stays joined-but-incomplete
-  // (exactly what the membership layer exists to clean up).
+  // stranded behind the corpse, can never receive the completion — if
+  // n1's data beat the kill to n0 it stays joined-but-incomplete (exactly
+  // what the membership layer exists to clean up).
   EXPECT_TRUE(bed.node("n3")->update_manager()->IsComplete(flow.value()));
   EXPECT_TRUE(bed.node("n2")->update_manager()->IsComplete(flow.value()));
   EXPECT_FALSE(bed.node("n0")->update_manager()->IsComplete(flow.value()));

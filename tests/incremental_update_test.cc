@@ -16,6 +16,7 @@
 #include <map>
 #include <memory>
 #include <random>
+#include <set>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -521,12 +522,15 @@ TEST(IncrementalEdgeTest, EmptyDeltaTerminatesWithoutChangingAnything) {
   NetworkInstance before = Canonical(bed->Snapshot());
   const uint64_t data_before =
       bed->network().stats().MessagesOfType(MessageType::kUpdateData);
+  const uint64_t messages_before = bed->network().stats().total_messages();
   RunIncrementalOnce(*bed, initiator);
   EXPECT_EQ(Canonical(bed->Snapshot()), before);
   EXPECT_EQ(CounterSum(*bed, "update.delta_rows"), 0u);
-  // Nothing to say means no data messages at all — only control traffic.
+  // Nothing to say means no data messages at all, and with no data to
+  // engage anyone the flow ends at its root without a message of any kind.
   EXPECT_EQ(bed->network().stats().MessagesOfType(MessageType::kUpdateData),
             data_before);
+  EXPECT_EQ(bed->network().stats().total_messages(), messages_before);
 }
 
 // Re-running an incremental update after its delta was consumed ships
@@ -576,9 +580,9 @@ TEST(IncrementalEdgeTest, CallbackFiresOnceOnDeadlineAbort) {
       Testbed::Create(generated, bed_options);
   ASSERT_TRUE(bed.ok()) << bed.status().ToString();
 
-  // Silent partition mid-chain: the initiator's delta reaches n2 but the
-  // request/data toward n1 vanish, so only the root's deadline can end
-  // the flow.
+  // Silent partition mid-chain: the initiator's delta reaches n2 but n2's
+  // data toward n1 vanishes, so only the root's deadline can end the
+  // flow.
   ASSERT_TRUE(
       bed.value()->SetFault("n1", "n2", FaultProfile::Partition()).ok());
 
@@ -601,6 +605,62 @@ TEST(IncrementalEdgeTest, CallbackFiresOnceOnDeadlineAbort) {
   EXPECT_TRUE(report->aborted);
 }
 
+
+// ---------------------------------------------------------------------------
+// Traffic shape: an incremental flow is data-driven. The delta's own data
+// messages engage the peers it reaches; no request is flooded and no link
+// is closed, so a row inserted in a copy tree costs one data message, one
+// D-S ack and one completion per hop of its path to the root, and the
+// rest of the tree never hears of the flow.
+
+TEST(IncrementalTrafficTest, DeltaEngagesOnlyItsPathToTheRoot) {
+  WorkloadOptions options;
+  options.nodes = 15;
+  options.tuples_per_node = 20;
+  options.style = RuleStyle::kCopy;
+  GeneratedNetwork generated = MakeTree(options);  // fanout 2
+  std::unique_ptr<Testbed> bed = SpawnSynchronized(generated, "n0");
+  ASSERT_NE(bed, nullptr);
+
+  // n11 sits at depth 3; its rows travel n11 -> n5 -> n2 -> n0.
+  const Tuple row{Value::Int(11 * 10000 + 5000), Value::Int(7)};
+  ASSERT_TRUE(bed->node("n11")->InsertLocal("d", {row}).ok());
+
+  const TransportStats& stats = bed->network().stats();
+  const std::vector<MessageType> types = {
+      MessageType::kUpdateRequest, MessageType::kLinkClosed,
+      MessageType::kUpdateData, MessageType::kUpdateAck,
+      MessageType::kUpdateComplete};
+  std::map<MessageType, uint64_t> before;
+  for (MessageType type : types) before[type] = stats.MessagesOfType(type);
+  const uint64_t total_before = stats.total_messages();
+
+  Result<FlowId> flow = bed->RunIncrementalUpdate("n11");
+  ASSERT_TRUE(flow.ok()) << flow.status().ToString();
+
+  auto sent = [&](MessageType type) {
+    return stats.MessagesOfType(type) - before[type];
+  };
+  EXPECT_EQ(sent(MessageType::kUpdateRequest), 0u);
+  EXPECT_EQ(sent(MessageType::kLinkClosed), 0u);
+  EXPECT_EQ(sent(MessageType::kUpdateData), 3u);
+  EXPECT_EQ(sent(MessageType::kUpdateAck), 3u);
+  EXPECT_EQ(sent(MessageType::kUpdateComplete), 3u);
+  EXPECT_EQ(stats.total_messages() - total_before, 9u);
+
+  const std::set<std::string> path = {"n11", "n5", "n2", "n0"};
+  for (const auto& node : bed->nodes()) {
+    SCOPED_TRACE(node->name());
+    const UpdateManager* manager = node->update_manager();
+    ASSERT_NE(manager, nullptr);
+    const bool on_path = path.count(node->name()) > 0;
+    EXPECT_EQ(manager->IsJoined(flow.value()), on_path);
+    if (on_path) {
+      EXPECT_TRUE(manager->IsComplete(flow.value()));
+    }
+  }
+  EXPECT_TRUE(bed->node("n0")->database().Find("d")->Contains(row));
+}
 
 // ---------------------------------------------------------------------------
 // ExportMemory on its own: the one record of what each incoming link has

@@ -180,20 +180,29 @@ TEST(ProtocolTest, AllSmallPayloadsRoundTrip) {
                 .value()
                 .update,
             update);
-  // Both mode flags ride the request and must survive the wire in every
-  // combination the protocol emits (refresh and incremental are mutually
-  // exclusive; both-false is the plain full update).
+  // The refresh flag rides the request. The incremental flag rides the
+  // data, right after the FlowId: an incremental flow sends no request,
+  // so its first data message joins the receiver. Both must survive the
+  // wire.
   for (bool refresh : {false, true}) {
-    for (bool incremental : {false, true}) {
-      if (refresh && incremental) continue;
-      Result<UpdateRequestPayload> mode_back =
-          UpdateRequestPayload::Deserialize(
-              UpdateRequestPayload{update, refresh, incremental}
-                  .Serialize());
-      ASSERT_TRUE(mode_back.ok());
-      EXPECT_EQ(mode_back.value().refresh, refresh);
-      EXPECT_EQ(mode_back.value().incremental, incremental);
-    }
+    Result<UpdateRequestPayload> mode_back =
+        UpdateRequestPayload::Deserialize(
+            UpdateRequestPayload{update, refresh}.Serialize());
+    ASSERT_TRUE(mode_back.ok());
+    EXPECT_EQ(mode_back.value().refresh, refresh);
+  }
+  for (bool incremental : {false, true}) {
+    UpdateDataPayload data;
+    data.update = update;
+    data.incremental = incremental;
+    data.rule_id = "r2";
+    const std::vector<uint8_t> bytes = data.Serialize();
+    ASSERT_GT(bytes.size(), FlowId::kWireBytes);
+    EXPECT_EQ(bytes[FlowId::kWireBytes], incremental ? 1 : 0);
+    Result<UpdateDataPayload> data_back = UpdateDataPayload::Deserialize(bytes);
+    ASSERT_TRUE(data_back.ok());
+    EXPECT_EQ(data_back.value().incremental, incremental);
+    EXPECT_EQ(data_back.value().rule_id, "r2");
   }
   LinkClosedPayload closed{update, "r9"};
   Result<LinkClosedPayload> closed_back =

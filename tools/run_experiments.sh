@@ -4,12 +4,16 @@
 #   bench_output.txt  — every experiment harness, in order (human tables)
 #   bench/BENCH_<name>.json — the same scenarios, machine-readable (--json)
 # Usage: tools/run_experiments.sh [build-dir]
+# The build directory is relative to the current directory; the source
+# tree is the one holding this script, whatever directory it runs from.
 set -e
 BUILD="${1:-build}"
-ROOT="$(dirname "$0")/.."
+ROOT="$(cd "$(dirname "$0")/.." && pwd)"
 
-cmake -B "$BUILD" -G Ninja
-cmake --build "$BUILD"
+# Default generator: an existing build directory keeps the generator it
+# was configured with.
+cmake -B "$BUILD" -S "$ROOT"
+cmake --build "$BUILD" -j "$(nproc)"
 
 ctest --test-dir "$BUILD" 2>&1 | tee "$ROOT/test_output.txt"
 
