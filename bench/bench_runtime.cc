@@ -5,8 +5,13 @@
 // wall-clock latencies) and compares outcomes and wall time. The data
 // outcome must be identical (ring derivations are order-independent);
 // the threaded runtime pays real latency waits, the simulator skips them.
+//
+// The binary gates itself: it exits non-zero unless, at every ring size,
+// both runtimes complete, the stores at n0 match and the UPDATE_DATA
+// message counts are equal.
 
 #include <cstdio>
+#include <cstdlib>
 
 #include "bench_util.h"
 #include "util/stopwatch.h"
@@ -49,6 +54,7 @@ void Run() {
   Print("%5s | %12s %12s | %10s %10s | %8s\n", "nodes", "sim wall",
               "thr wall", "sim msgs", "thr msgs", "match");
 
+  bool all_match = true;
   for (int n : {4, 8, 12}) {
     WorkloadOptions options;
     options.nodes = n;
@@ -58,7 +64,9 @@ void Run() {
     Outcome sim = RunOnce(generated, /*threaded=*/false);
     Outcome thr = RunOnce(generated, /*threaded=*/true);
     bool match = sim.completed && thr.completed &&
-                 sim.tuples_at_n0 == thr.tuples_at_n0;
+                 sim.tuples_at_n0 == thr.tuples_at_n0 &&
+                 sim.data_messages == thr.data_messages;
+    all_match = all_match && match;
     if (JsonMode()) {
       JsonValue obj = JsonValue::Object();
       obj.Set("scenario", JsonValue::Str("ring/" + std::to_string(n)));
@@ -78,6 +86,13 @@ void Run() {
   Print(
       "\nsame messages, same final stores; the threaded runtime pays the\n"
       "real 200us link latencies the simulator only accounts virtually.\n");
+  if (!all_match) {
+    std::fprintf(stderr,
+                 "E10 GATE FAILED: at every ring size both runtimes must "
+                 "complete with the same store at n0 and the same "
+                 "UPDATE_DATA count\n");
+    std::exit(1);
+  }
 }
 
 }  // namespace

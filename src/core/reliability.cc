@@ -4,6 +4,13 @@
 
 namespace codb {
 
+namespace {
+
+// Each retransmission waits this many times longer than the one before.
+constexpr int64_t kBackoffFactor = 2;
+
+}  // namespace
+
 ReliableSender::ReliableSender(NetworkBase* network,
                                ReliabilityOptions options, GiveUpFn on_give_up,
                                Counter* retransmits, Counter* give_ups,
@@ -31,9 +38,7 @@ Status ReliableSender::Send(Message message, const FlowId& flow, bool basic) {
     Pending entry;
     entry.message = message;
     entry.basic = basic;
-    entry.next_backoff_us = static_cast<int64_t>(
-        static_cast<double>(s.options.retransmit_base_us) *
-        s.options.backoff_factor);
+    entry.next_backoff_us = s.options.retransmit_base_us * kBackoffFactor;
     s.pending.emplace(key, std::move(entry));
   }
   Status sent = s.network->Send(std::move(message));
@@ -83,9 +88,7 @@ void ReliableSender::Arm(const std::shared_ptr<Shared>& shared,
         // class; the entry itself stays unmarked (it was a first send).
         resend.retransmit = true;
         next_delay = entry.next_backoff_us;
-        entry.next_backoff_us = static_cast<int64_t>(
-            static_cast<double>(entry.next_backoff_us) *
-            shared->options.backoff_factor);
+        entry.next_backoff_us *= kBackoffFactor;
         if (shared->retransmits != nullptr) shared->retransmits->Add();
         if (shared->retx_bytes != nullptr) {
           shared->retx_bytes->Add(resend.WireSize());

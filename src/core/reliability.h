@@ -48,10 +48,9 @@ struct ReliabilityOptions {
   // Off by default: the fault-free runtimes keep their historical message
   // counts and the managers behave exactly as before.
   bool enabled = false;
-  // First retransmission fires after this delay; each further one is
-  // `backoff_factor` times later.
+  // First retransmission fires after this delay; each further one waits
+  // twice as long as the one before.
   int64_t retransmit_base_us = 50'000;
-  double backoff_factor = 2.0;
   int max_retries = 5;
   // Root-side deadline for a whole flow; 0 disables. A flow still running
   // at the deadline is aborted and reported as partial.

@@ -11,6 +11,12 @@ namespace codb {
 
 namespace {
 
+// The config retransmit sweep: one sweep every period, at most this many
+// per broadcast. It stops re-arming once every region peer acknowledged,
+// so Run()-driven tests still quiesce.
+constexpr int64_t kConfigRetransmitPeriodUs = 50'000;
+constexpr int kMaxConfigRetransmitRounds = 10;
+
 void WriteRuleTraffic(WireWriter& writer,
                       const std::map<std::string, RuleTrafficStats>& stats) {
   writer.WriteU32(static_cast<uint32_t>(stats.size()));
@@ -266,12 +272,6 @@ std::vector<std::string> SuperPeer::LastBroadcastFailures() const {
   return broadcast_failures_;
 }
 
-void SuperPeer::SetConfigRetransmit(int64_t period_us, int max_rounds) {
-  std::lock_guard<std::mutex> lock(config_mutex_);
-  retransmit_period_us_ = period_us;
-  max_retransmit_rounds_ = max_rounds;
-}
-
 Status SuperPeer::SendConfigTo(PeerId peer, const std::string& peer_name) {
   if (!network_->HasPipe(id_, peer)) {
     CODB_RETURN_IF_ERROR(network_->OpenPipe(id_, peer, LinkProfile::Lan()));
@@ -309,9 +309,9 @@ Status SuperPeer::SendConfigTo(PeerId peer, const std::string& peer_name) {
 }
 
 void SuperPeer::ScheduleSweep(uint64_t generation, int round) {
-  if (retransmit_period_us_ <= 0 || round >= max_retransmit_rounds_) return;
+  if (round >= kMaxConfigRetransmitRounds) return;
   std::shared_ptr<std::atomic<bool>> alive = alive_;
-  network_->ScheduleAfter(retransmit_period_us_,
+  network_->ScheduleAfter(kConfigRetransmitPeriodUs,
                           [this, alive, generation, round] {
                             if (!alive->load()) return;
                             RetransmitSweep(generation, round);
@@ -339,10 +339,10 @@ void SuperPeer::RetransmitSweep(uint64_t generation, int round) {
     }
   }
   if (!any_laggard) return;
-  if (round + 1 >= max_retransmit_rounds_) {
+  if (round + 1 >= kMaxConfigRetransmitRounds) {
     CODB_LOG(kWarning) << name_ << ": giving up config retransmits for v"
                        << config_version_ << " after "
-                       << max_retransmit_rounds_ << " sweeps";
+                       << kMaxConfigRetransmitRounds << " sweeps";
     return;
   }
   ScheduleSweep(generation, round + 1);

@@ -120,13 +120,6 @@ class SuperPeer : public NetworkPeer {
   // Node names whose send failed during the last BroadcastConfig call.
   std::vector<std::string> LastBroadcastFailures() const;
 
-  // Tunes the retransmit sweep that re-sends the current version to peers
-  // that have not acknowledged it: `period_us` between sweeps (<= 0
-  // disables), at most `max_rounds` sweeps per broadcast. The sweep stops
-  // re-arming once every region peer acknowledged, so Run()-driven tests
-  // still quiesce.
-  void SetConfigRetransmit(int64_t period_us, int max_rounds);
-
   // Asks every node in the region for its statistical module contents.
   // Collection is asynchronous: run the network, then check
   // CollectionComplete(). Thread-safe against concurrently arriving
@@ -278,8 +271,6 @@ class SuperPeer : public NetworkPeer {
   std::unique_ptr<LinkGraph> config_graph_;  // of config_, for cycle flags
   std::vector<std::string> broadcast_failures_;
   uint64_t broadcast_generation_ = 0;
-  int64_t retransmit_period_us_ = 50'000;
-  int max_retransmit_rounds_ = 10;
   // Guards the sweep timer callbacks against a destroyed super-peer (the
   // network may still hold scheduled closures).
   std::shared_ptr<std::atomic<bool>> alive_ =

@@ -22,7 +22,7 @@
 //        └──── higher incarnation ──────── │  DEAD   │  (terminal per
 //              (peer restarted)            └─────────┘   incarnation)
 //
-// Third-party claims (gossip digests) can accelerate the machine — a
+// Third-party claims (beacon digests) can accelerate the machine — a
 // dead-claim about a peer we already suspect confirms the eviction
 // immediately, a dead/suspect claim about an alive peer starts the
 // suspicion window — but a mere alive-claim never refreshes last_heard:
@@ -72,7 +72,7 @@ class FailureDetector {
   std::vector<Event> HeardFrom(PeerId peer, uint64_t incarnation,
                                int64_t now_us);
 
-  // Third-party claim from a gossip digest. Never refreshes liveness;
+  // Third-party claim from a beacon digest. Never refreshes liveness;
   // may escalate (alive → suspect on a suspect/dead claim, suspect →
   // dead on a dead claim) or resurrect (strictly higher incarnation
   // resets the peer to alive pending first-hand contact).

@@ -8,6 +8,17 @@ namespace codb {
 
 namespace {
 
+// A freshly tracked peer cannot be suspected for this many periods (it may
+// still be settling in; its first beacon may be in flight).
+constexpr double kGracePeriods = 2.0;
+
+// Hard floor of the suspicion timeout, whatever the RTT estimate says.
+constexpr int64_t kMinSuspectTimeoutUs = 100'000;
+
+// Beacons carry at most this many digest entries (non-alive verdicts
+// first, so bad news travels).
+constexpr size_t kDigestMaxEntries = 16;
+
 // Spreads session phases over the period so a whole deployment's beacons
 // do not land on the same virtual instant (a knuth-hash of the peer id).
 int64_t PhaseOf(PeerId self, int64_t period_us) {
@@ -109,11 +120,10 @@ HeartbeatSession::HeartbeatSession(NetworkBase* network, PeerId self,
         const double period = static_cast<double>(options.period_us);
         t.suspect_us = std::max<int64_t>(
             static_cast<int64_t>(options.suspect_after_periods * period),
-            options.min_suspect_timeout_us);
+            kMinSuspectTimeoutUs);
         t.evict_us = std::max<int64_t>(
             static_cast<int64_t>(options.evict_after_periods * period), 1);
-        t.grace_us =
-            static_cast<int64_t>(options.grace_periods * period);
+        t.grace_us = static_cast<int64_t>(kGracePeriods * period);
         return t;
       }()),
       detector_(timeouts_),
@@ -180,8 +190,7 @@ void HeartbeatSession::Tick() {
 }
 
 void HeartbeatSession::SendBeacons(int64_t now_us) {
-  std::vector<HeartbeatDigestEntry> digest =
-      options_.gossip ? BuildDigest() : std::vector<HeartbeatDigestEntry>();
+  std::vector<HeartbeatDigestEntry> digest = BuildDigest();
   for (PeerId neighbor : network_->Neighbors(self_)) {
     if (detector_.IsTracked(neighbor) &&
         detector_.HealthOf(neighbor) == PeerHealth::kDead) {
@@ -220,14 +229,14 @@ std::vector<HeartbeatDigestEntry> HeartbeatSession::BuildDigest() {
     (entry.health == PeerHealth::kAlive ? good : bad).push_back(entry);
   }
   std::vector<HeartbeatDigestEntry> out;
-  const size_t cap = options_.digest_max_entries;
   for (const HeartbeatDigestEntry& entry : bad) {
-    if (out.size() >= cap) break;
+    if (out.size() >= kDigestMaxEntries) break;
     out.push_back(entry);
   }
   if (!good.empty()) {
     const size_t start = digest_rotation_++ % good.size();
-    for (size_t i = 0; i < good.size() && out.size() < cap; ++i) {
+    for (size_t i = 0; i < good.size() && out.size() < kDigestMaxEntries;
+         ++i) {
       out.push_back(good[(start + i) % good.size()]);
     }
   }
@@ -259,7 +268,7 @@ void HeartbeatSession::HandleBeacon(const Message& message) {
     }
 
     events = detector_.HeardFrom(message.src, beacon.incarnation, now);
-    if (options_.gossip) ProcessDigest(beacon, now, events);
+    ProcessDigest(beacon, now, events);
     // Traffic-driven evaluation: an arriving beacon is also a chance to
     // notice that some OTHER tracked peer crossed its silence threshold.
     // In an active deployment this makes detection converge on the

@@ -58,21 +58,6 @@ struct MembershipOptions {
   // transition for tick quantization.
   double evict_after_periods = 1.0;
 
-  // A freshly tracked peer cannot be suspected for this many periods
-  // (it may still be settling in; its first beacon may be in flight).
-  double grace_periods = 2.0;
-
-  // Hard floor of the suspicion timeout, whatever the RTT estimate says.
-  int64_t min_suspect_timeout_us = 100'000;
-
-  // Beacons carry at most this many digest entries (non-alive verdicts
-  // first, so bad news travels).
-  size_t digest_max_entries = 16;
-
-  // When false, digests are sent empty and third-party claims are
-  // ignored: detection is strictly first-hand.
-  bool gossip = true;
-
   // This node's incarnation number. A restarted node should come back
   // with a higher incarnation; beacons with a lower incarnation than the
   // highest one seen for that peer are rejected as stale.

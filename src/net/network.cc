@@ -2,220 +2,19 @@
 
 #include <algorithm>
 #include <cassert>
-#include <chrono>
 
 #include "obs/trace.h"
 #include "util/logging.h"
 
 namespace codb {
 
-namespace {
-
-std::pair<uint32_t, uint32_t> PipeKey(PeerId from, PeerId to) {
-  return {from.value, to.value};
-}
-
-}  // namespace
-
-PeerId Network::Join(const std::string& name, NetworkPeer* peer) {
-  PeerId id(static_cast<uint32_t>(peers_.size()));
-  peers_.push_back({name, peer, /*alive=*/true});
-  adjacency_.emplace_back();
-  Tracer::Global().SetNodeName(id.value, name);
-  CODB_LOG(kDebug) << "network: " << name << " joined as "
-                   << id.ToString();
-  return id;
-}
-
-Status Network::Leave(PeerId id) {
-  if (!IsAlive(id)) {
-    return Status::NotFound(id.ToString() + " is not on the network");
-  }
-  peers_[id.value].alive = false;
-  peers_[id.value].handler = nullptr;
-  std::vector<uint32_t> to_notify;
-  for (uint32_t other : adjacency_[id.value]) {
-    Pipe* forward = FindPipe(id, PeerId(other));
-    Pipe* backward = FindPipe(PeerId(other), id);
-    if (forward != nullptr && forward->open()) to_notify.push_back(other);
-    if (forward != nullptr) forward->Close();
-    if (backward != nullptr) backward->Close();
-    adjacency_[other].erase(id.value);
-  }
-  adjacency_[id.value].clear();
-  for (uint32_t other : to_notify) {
-    NotifyPipeClosed(PeerId(other), id);
-  }
-  return Status::Ok();
-}
-
-void Network::NotifyPipeClosed(PeerId peer, PeerId other) {
-  if (!IsAlive(peer)) return;
-  NetworkPeer* handler = peers_[peer.value].handler;
-  if (handler != nullptr) handler->HandlePipeClosed(other);
-}
-
-bool Network::IsAlive(PeerId id) const {
-  return id.valid() && id.value < peers_.size() && peers_[id.value].alive;
-}
-
-std::string Network::NameOf(PeerId id) const {
-  if (!id.valid() || id.value >= peers_.size()) return "<unknown>";
-  return peers_[id.value].name;
-}
-
-Result<PeerId> Network::FindByName(const std::string& name) const {
-  for (size_t i = 0; i < peers_.size(); ++i) {
-    if (peers_[i].alive && peers_[i].name == name) {
-      return PeerId(static_cast<uint32_t>(i));
-    }
-  }
-  return Status::NotFound("no alive peer named '" + name + "'");
-}
-
-std::vector<PeerId> Network::AlivePeers() const {
-  std::vector<PeerId> out;
-  for (size_t i = 0; i < peers_.size(); ++i) {
-    if (peers_[i].alive) out.push_back(PeerId(static_cast<uint32_t>(i)));
-  }
-  return out;
-}
-
-Status Network::OpenPipe(PeerId a, PeerId b, LinkProfile profile) {
-  if (!IsAlive(a) || !IsAlive(b)) {
-    return Status::Unavailable("both endpoints must be alive to open a pipe");
-  }
-  if (a == b) {
-    return Status::InvalidArgument("cannot open a pipe to self");
-  }
-  // Re-opening replaces a closed pipe.
-  if (!profile.fault.Active() && default_fault_.Active()) {
-    profile.fault = default_fault_;
-  }
-  pipes_.insert_or_assign(PipeKey(a, b), Pipe(a, b, profile));
-  pipes_.insert_or_assign(PipeKey(b, a), Pipe(b, a, profile));
-  adjacency_[a.value].insert(b.value);
-  adjacency_[b.value].insert(a.value);
-  return Status::Ok();
-}
-
-Status Network::SetFaultProfile(PeerId a, PeerId b,
-                                const FaultProfile& fault) {
-  Pipe* forward = FindPipe(a, b);
-  Pipe* backward = FindPipe(b, a);
-  if (forward == nullptr || backward == nullptr) {
-    return Status::NotFound("no pipe between " + a.ToString() + " and " +
-                            b.ToString());
-  }
-  forward->SetFault(fault);
-  backward->SetFault(fault);
-  return Status::Ok();
-}
-
-void Network::SetDefaultFaultProfile(const FaultProfile& fault) {
-  default_fault_ = fault;
-  for (auto& [key, pipe] : pipes_) {
-    if (pipe.open()) pipe.SetFault(fault);
-  }
-}
-
-Status Network::ClosePipe(PeerId a, PeerId b) {
-  Pipe* forward = FindPipe(a, b);
-  Pipe* backward = FindPipe(b, a);
-  if (forward == nullptr && backward == nullptr) {
-    return Status::NotFound("no pipe between " + a.ToString() + " and " +
-                            b.ToString());
-  }
-  bool was_open = (forward != nullptr && forward->open()) ||
-                  (backward != nullptr && backward->open());
-  if (forward != nullptr) forward->Close();
-  if (backward != nullptr) backward->Close();
-  if (a.value < adjacency_.size()) adjacency_[a.value].erase(b.value);
-  if (b.value < adjacency_.size()) adjacency_[b.value].erase(a.value);
-  if (was_open) {
-    NotifyPipeClosed(a, b);
-    NotifyPipeClosed(b, a);
-  }
-  return Status::Ok();
-}
-
-bool Network::HasPipe(PeerId from, PeerId to) const {
-  const Pipe* pipe = FindPipe(from, to);
-  return pipe != nullptr && pipe->open();
-}
-
-std::vector<PeerId> Network::Neighbors(PeerId id) const {
-  std::vector<PeerId> out;
-  if (!id.valid() || id.value >= adjacency_.size()) return out;
-  for (uint32_t other : adjacency_[id.value]) {
-    if (IsAlive(PeerId(other))) out.push_back(PeerId(other));
-  }
-  return out;
-}
-
-size_t Network::open_pipe_count() const {
-  size_t n = 0;
-  for (const auto& [key, pipe] : pipes_) {
-    if (pipe.open()) ++n;
-  }
-  return n / 2;  // pipes are stored per direction
-}
-
-Pipe* Network::FindPipe(PeerId from, PeerId to) {
-  auto it = pipes_.find(PipeKey(from, to));
-  return it == pipes_.end() ? nullptr : &it->second;
-}
-
-const Pipe* Network::FindPipe(PeerId from, PeerId to) const {
-  auto it = pipes_.find(PipeKey(from, to));
-  return it == pipes_.end() ? nullptr : &it->second;
-}
-
-Status Network::Send(Message message) {
-  if (!IsAlive(message.src)) {
-    return Status::Unavailable("sender " + message.src.ToString() +
-                               " is not on the network");
-  }
-  Pipe* pipe = FindPipe(message.src, message.dst);
-  if (pipe == nullptr || !pipe->open()) {
-    return Status::Unavailable("no open pipe " + message.src.ToString() +
-                               " -> " + message.dst.ToString());
-  }
-  stats_.RecordSend(message);
-  // The ledger mirrors TransportStats send accounting: bytes are charged
-  // even when the fault injector then drops the message on the wire.
-  RecordCostSend(message);
-  FaultInjector::Decision fault = pipe->NextFault();
-  if (fault.drop) {
-    // The sender cannot tell a dropped message from a delivered one:
-    // Send still succeeds and the bytes were charged above.
-    stats_.RecordInjectedDrop();
-    return Status::Ok();
-  }
-  if (Tracer::Global().enabled()) {
-    message.trace_id = Tracer::Global().NoteSend();
-  }
-  int64_t arrival = pipe->ScheduleArrival(now_us_, message.WireSize());
-  if (fault.extra_delay_us > 0) {
-    stats_.RecordInjectedDelay();
-    arrival += fault.extra_delay_us;
-  }
-  const bool maintenance = message.maintenance;
+Status Network::Enqueue(std::unique_ptr<Message> message, int64_t sent_us,
+                        int64_t arrival_us) {
   Event event;
-  event.time_us = arrival;
-  event.seq = next_seq_++;
-  event.enqueued_us = now_us_;
-  if (fault.duplicate) {
-    stats_.RecordInjectedDup();
-    Event dup;
-    // The copy rides right behind the original on the wire.
-    dup.time_us = pipe->ScheduleArrival(now_us_, message.WireSize());
-    dup.seq = next_seq_++;
-    dup.enqueued_us = now_us_;
-    dup.message = std::make_unique<Message>(message);
-    PushEvent(std::move(dup), maintenance);
-  }
-  event.message = std::make_unique<Message>(std::move(message));
+  event.time_us = arrival_us;
+  event.sent_us = sent_us;
+  const bool maintenance = message->maintenance;
+  event.message = std::move(message);
   PushEvent(std::move(event), maintenance);
   return Status::Ok();
 }
@@ -223,27 +22,20 @@ Status Network::Send(Message message) {
 void Network::ScheduleAt(int64_t time_us, std::function<void()> action) {
   Event event;
   event.time_us = std::max(time_us, now_us_);
-  event.seq = next_seq_++;
-  event.enqueued_us = now_us_;
   event.action = std::move(action);
   PushEvent(std::move(event), /*maintenance=*/false);
-}
-
-void Network::ScheduleAfter(int64_t delay_us, std::function<void()> action) {
-  ScheduleAt(now_us_ + delay_us, std::move(action));
 }
 
 void Network::ScheduleMaintenance(int64_t delay_us,
                                   std::function<void()> action) {
   Event event;
   event.time_us = now_us_ + std::max<int64_t>(delay_us, 0);
-  event.seq = next_seq_++;
-  event.enqueued_us = now_us_;
   event.action = std::move(action);
   PushEvent(std::move(event), /*maintenance=*/true);
 }
 
 void Network::PushEvent(Event event, bool maintenance) {
+  event.seq = next_seq_++;
   std::vector<Event>& lane = maintenance ? maintenance_events_ : events_;
   lane.push_back(std::move(event));
   std::push_heap(lane.begin(), lane.end(), EventLater());
@@ -277,50 +69,10 @@ void Network::Dispatch(const Event& event) {
   // when Run() advanced the clock past its due point while it sat queued,
   // so the clock only ever moves forward.
   now_us_ = std::max(now_us_, event.time_us);
-
-  Tracer& tracer = Tracer::Global();
-  bool tracing = tracer.enabled();
-  if (tracing) Tracer::SetVirtualTime(now_us_);
+  if (Tracer::Global().enabled()) Tracer::SetVirtualTime(now_us_);
 
   if (event.message != nullptr) {
-    const Message& msg = *event.message;
-    // In-flight traffic is lost if the destination died or the pipe was
-    // closed while the message was on the wire.
-    if (!IsAlive(msg.dst) || !HasPipe(msg.src, msg.dst)) {
-      stats_.RecordDrop(msg);
-      return;
-    }
-    NetworkPeer* handler = peers_[msg.dst.value].handler;
-    if (handler != nullptr) {
-      // The profiler's sojourn is virtual (wire time: pipe latency plus
-      // bandwidth queueing); handler service time is wall-clock, since a
-      // handler runs in zero virtual time by construction.
-      const bool profiling = profiler_.enabled();
-      CostClass cls = CostClass::kData;
-      std::chrono::steady_clock::time_point service_start;
-      if (profiling) {
-        cls = ClassifyMessage(msg);
-        profiler_.RecordSojourn(cls, now_us_ - event.enqueued_us);
-      }
-      RecordCostRecv(msg);
-      if (profiling) service_start = std::chrono::steady_clock::now();
-      if (tracing) {
-        uint64_t span = tracer.BeginSpan(msg.dst.value, "net.deliver");
-        tracer.AddArg(span, "type", MessageTypeName(msg.type));
-        tracer.AddArg(span, "bytes", std::to_string(msg.WireSize()));
-        tracer.LinkDelivery(msg.trace_id, span);
-        handler->HandleMessage(msg);
-        tracer.EndSpan(span);
-      } else {
-        handler->HandleMessage(msg);
-      }
-      if (profiling) {
-        profiler_.RecordService(
-            cls, std::chrono::duration_cast<std::chrono::microseconds>(
-                     std::chrono::steady_clock::now() - service_start)
-                     .count());
-      }
-    }
+    Deliver(*event.message, event.sent_us);
   } else if (event.action) {
     // For timers, lag is how far past its due time the virtual clock had
     // already advanced when the action ran (maintenance events surfacing

@@ -11,25 +11,20 @@
 // peers can leave, pipes can drop, and actions can be scheduled at virtual
 // times to rewire the network mid-experiment. In-flight messages to a dead
 // peer or across a closed pipe are dropped, like packets on a cut link.
+//
+// Peers, pipes, faults, accounting and delivery live in NetworkBase
+// (net/network_interface.h); this class is the event heap, the virtual
+// clock and the loop that drains them.
 
 #ifndef CODB_NET_NETWORK_H_
 #define CODB_NET_NETWORK_H_
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
-#include <queue>
-#include <set>
-#include <string>
 #include <vector>
 
-#include "net/message.h"
 #include "net/network_interface.h"
-#include "net/peer_id.h"
-#include "net/pipe.h"
-#include "net/transport_stats.h"
-#include "util/status.h"
 
 namespace codb {
 
@@ -40,50 +35,11 @@ class Network : public NetworkBase {
   Network(const Network&) = delete;
   Network& operator=(const Network&) = delete;
 
-  using NetworkBase::OpenPipe;
   using NetworkBase::Run;
-
-  // -- membership ---------------------------------------------------------
-
-  // Joins under `name`; the peer pointer must outlive the network or be
-  // removed with Leave first.
-  PeerId Join(const std::string& name, NetworkPeer* peer) override;
-
-  // Removes the peer; its pipes close and in-flight traffic to it is lost.
-  Status Leave(PeerId id) override;
-
-  bool IsAlive(PeerId id) const override;
-  std::string NameOf(PeerId id) const override;
-  Result<PeerId> FindByName(const std::string& name) const override;
-  std::vector<PeerId> AlivePeers() const override;
-
-  // -- pipes --------------------------------------------------------------
-
-  // Opens both directions with the same profile. Idempotent.
-  Status OpenPipe(PeerId a, PeerId b, LinkProfile profile) override;
-
-  // Closes both directions. In-flight messages on the pipe are dropped.
-  Status ClosePipe(PeerId a, PeerId b) override;
-
-  Status SetFaultProfile(PeerId a, PeerId b,
-                         const FaultProfile& fault) override;
-  void SetDefaultFaultProfile(const FaultProfile& fault) override;
-
-  bool HasPipe(PeerId from, PeerId to) const override;
-  std::vector<PeerId> Neighbors(PeerId id) const override;
-  size_t open_pipe_count() const override;
-
-  // -- traffic ------------------------------------------------------------
-
-  // Enqueues delivery of `message` over the pipe src->dst. Fails with
-  // kUnavailable if the sender is dead or no open pipe exists.
-  Status Send(Message message) override;
 
   // Schedules `action` to run at the given virtual time (or `delay` from
   // now). Used for churn scripts and node timers.
   void ScheduleAt(int64_t time_us, std::function<void()> action) override;
-  void ScheduleAfter(int64_t delay_us,
-                     std::function<void()> action) override;
   void ScheduleMaintenance(int64_t delay_us,
                            std::function<void()> action) override;
 
@@ -104,23 +60,21 @@ class Network : public NetworkBase {
   // `deadline_us`, then advances the virtual clock to the deadline.
   uint64_t RunUntil(int64_t deadline_us) override;
 
-  TransportStats& stats() override { return stats_; }
-  const TransportStats& stats() const override { return stats_; }
+ protected:
+  Status Enqueue(std::unique_ptr<Message> message, int64_t sent_us,
+                 int64_t arrival_us) override;
+  // Delivered at once, on the caller's thread.
+  void NotifyPipeClosed(PeerId peer, PeerId other) override {
+    DeliverPipeClosed(peer, other);
+  }
 
  private:
-  struct PeerEntry {
-    std::string name;
-    NetworkPeer* handler = nullptr;
-    bool alive = false;
-  };
-
   struct Event {
     int64_t time_us = 0;
     uint64_t seq = 0;  // FIFO tie-break for equal timestamps
-    // Virtual time at which the event was enqueued. For messages the gap
-    // to dispatch is the wire sojourn (pipe latency + bandwidth queueing),
-    // which is what the queue profiler reports.
-    int64_t enqueued_us = 0;
+    // A message's send time, from which Deliver() measures its wire
+    // sojourn (pipe latency plus bandwidth queueing).
+    int64_t sent_us = 0;
     // Exactly one of the two is set.
     std::unique_ptr<Message> message;
     std::function<void()> action;
@@ -132,30 +86,22 @@ class Network : public NetworkBase {
     }
   };
 
-  Pipe* FindPipe(PeerId from, PeerId to);
-  const Pipe* FindPipe(PeerId from, PeerId to) const;
-  void NotifyPipeClosed(PeerId peer, PeerId other);
+  // Stamps the FIFO seq and pushes onto the event's lane.
   void PushEvent(Event event, bool maintenance);
   // Pops the next due event; considers the maintenance lane only when
   // `include_maintenance`. Returns false if nothing qualifies.
   bool PopNext(bool include_maintenance, Event* out);
   void Dispatch(const Event& event);
 
-  std::vector<PeerEntry> peers_;
-  std::map<std::pair<uint32_t, uint32_t>, Pipe> pipes_;
-  // Open-pipe adjacency (both directions), so Neighbors() is O(degree)
-  // rather than a scan of every pipe — the difference between beacon
-  // ticks costing O(E) and O(n·E) per period at thousand-peer scale.
-  std::vector<std::set<uint32_t>> adjacency_;
-  FaultProfile default_fault_;
-  // priority_queue does not allow moving out of top(); use mutable heaps.
-  // Foreground and maintenance events live in separate lanes sharing one
-  // seq counter, so a merged pop is still globally FIFO at equal times.
+  // Touched only by the thread driving the simulation, so mu_ does not
+  // guard them. priority_queue does not allow moving out of top(); use
+  // mutable heaps. Foreground and maintenance events live in separate
+  // lanes sharing one seq counter, so a merged pop is still globally FIFO
+  // at equal times.
   std::vector<Event> events_;
   std::vector<Event> maintenance_events_;
   uint64_t next_seq_ = 0;
   int64_t now_us_ = 0;
-  TransportStats stats_;
 };
 
 }  // namespace codb

@@ -1,11 +1,17 @@
 // The network abstraction the coDB layers are written against.
 //
-// Two implementations exist:
+// Two runtimes exist:
 //   * Network (net/network.h) — the deterministic discrete-event simulator
 //     used by tests, benches and examples (virtual clock, reproducible);
 //   * ThreadedNetwork (net/threaded_network.h) — a real concurrent runtime
 //     with one delivery thread per peer and wall-clock time, demonstrating
 //     that the protocols do not depend on simulator determinism.
+//
+// NetworkBase is the transport core both share: the peer and pipe tables,
+// the fault profiles, Send (validation, accounting, fault draw, trace id,
+// arrival model) and delivery (in-flight loss check, receive accounting,
+// profiler, `net.deliver` span). A runtime supplies only the clock, the
+// scheduling of messages and timers, and the run loop.
 //
 // Threading contract: each peer's messages are delivered sequentially (a
 // peer never handles two messages concurrently), distinct peers run
@@ -19,6 +25,10 @@
 
 #include <atomic>
 #include <functional>
+#include <map>
+#include <memory>
+#include <mutex>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -50,39 +60,53 @@ class NetworkBase {
   virtual ~NetworkBase() = default;
 
   // -- membership ---------------------------------------------------------
-  virtual PeerId Join(const std::string& name, NetworkPeer* peer) = 0;
-  virtual Status Leave(PeerId id) = 0;
-  virtual bool IsAlive(PeerId id) const = 0;
-  virtual std::string NameOf(PeerId id) const = 0;
-  virtual Result<PeerId> FindByName(const std::string& name) const = 0;
-  virtual std::vector<PeerId> AlivePeers() const = 0;
+
+  // Joins under `name`; the peer pointer must outlive the network or be
+  // removed with Leave first.
+  PeerId Join(const std::string& name, NetworkPeer* peer);
+
+  // Removes the peer; its pipes close (the survivors are notified) and
+  // traffic still in flight to it is lost.
+  Status Leave(PeerId id);
+
+  bool IsAlive(PeerId id) const;
+  std::string NameOf(PeerId id) const;
+  Result<PeerId> FindByName(const std::string& name) const;
+  std::vector<PeerId> AlivePeers() const;
 
   // -- pipes ----------------------------------------------------------------
-  virtual Status OpenPipe(PeerId a, PeerId b, LinkProfile profile) = 0;
-  Status OpenPipe(PeerId a, PeerId b) {
-    return OpenPipe(a, b, LinkProfile());
-  }
-  virtual Status ClosePipe(PeerId a, PeerId b) = 0;
+
+  // Opens both directions with the same profile. Re-opening replaces a
+  // closed pipe.
+  Status OpenPipe(PeerId a, PeerId b, LinkProfile profile = LinkProfile());
+
+  // Closes both directions. In-flight messages on the pipe are dropped.
+  Status ClosePipe(PeerId a, PeerId b);
 
   // Replaces the fault profile on both directions of the a<->b pipe and
   // restarts its deterministic sequence. Used by torture tests and churn
   // scripts (including partitions: FaultProfile::Partition() is 100% loss
   // with no pipe-closed notification).
-  virtual Status SetFaultProfile(PeerId a, PeerId b,
-                                 const FaultProfile& fault) = 0;
+  Status SetFaultProfile(PeerId a, PeerId b, const FaultProfile& fault);
   // Applies `fault` to every currently open pipe direction and to pipes
   // opened later without an explicit profile override.
-  virtual void SetDefaultFaultProfile(const FaultProfile& fault) = 0;
+  void SetDefaultFaultProfile(const FaultProfile& fault);
 
-  virtual bool HasPipe(PeerId from, PeerId to) const = 0;
-  virtual std::vector<PeerId> Neighbors(PeerId id) const = 0;
-  virtual size_t open_pipe_count() const = 0;
+  bool HasPipe(PeerId from, PeerId to) const;
+  std::vector<PeerId> Neighbors(PeerId id) const;
+  size_t open_pipe_count() const;
 
   // -- traffic ----------------------------------------------------------------
-  virtual Status Send(Message message) = 0;
+
+  // Puts `message` on the pipe src->dst. Fails with kUnavailable if the
+  // sender is dead or no open pipe exists. The send is charged before the
+  // fault draw, so a message the injector drops still counts.
+  Status Send(Message message);
+
   virtual void ScheduleAt(int64_t time_us, std::function<void()> action) = 0;
-  virtual void ScheduleAfter(int64_t delay_us,
-                             std::function<void()> action) = 0;
+  void ScheduleAfter(int64_t delay_us, std::function<void()> action) {
+    ScheduleAt(now_us() + delay_us, std::move(action));
+  }
 
   // Schedules a *maintenance* timer: like ScheduleAfter, but a pending
   // maintenance action does not keep Run() from declaring quiescence —
@@ -91,9 +115,7 @@ class NetworkBase {
   // every period without turning Run() into an infinite loop. Messages
   // sent with `Message::maintenance` set get the same treatment.
   virtual void ScheduleMaintenance(int64_t delay_us,
-                                   std::function<void()> action) {
-    ScheduleAfter(delay_us, action);
-  }
+                                   std::function<void()> action) = 0;
 
   // Current time in microseconds: virtual for the simulator, wall-clock
   // since construction for the threaded runtime.
@@ -117,8 +139,9 @@ class NetworkBase {
     return RunUntil(now_us() + duration_us);
   }
 
-  virtual TransportStats& stats() = 0;
-  virtual const TransportStats& stats() const = 0;
+  // Read while the network is quiescent.
+  TransportStats& stats() { return stats_; }
+  const TransportStats& stats() const { return stats_; }
 
   // -- observability (DESIGN.md §12) ---------------------------------------
   // Cost ledgers are attach-based and off by default: until one is
@@ -126,7 +149,7 @@ class NetworkBase {
   // nothing else. Attach while the network is quiescent (setup time) —
   // the ledger table itself is not guarded.
   //
-  // Per-peer ledger: the runtime records the send side of every message
+  // Per-peer ledger: the core records the send side of every message
   // whose src is `id` and the receive side of every delivery to `id`.
   // Nodes attach their statistical module's ledger here so the per-class
   // byte breakdown rides the kStatsReport trailer.
@@ -154,29 +177,64 @@ class NetworkBase {
   static constexpr uint64_t kDefaultEventCap = 50'000'000;
 
  protected:
-  bool CostEnabled() const {
-    return cost_enabled_.load(std::memory_order_acquire);
-  }
-  void RecordCostSend(const Message& message) {
-    if (!CostEnabled()) return;
-    if (global_ledger_ != nullptr) global_ledger_->RecordSend(message);
-    if (message.src.value < ledgers_.size() &&
-        ledgers_[message.src.value] != nullptr) {
-      ledgers_[message.src.value]->RecordSend(message);
-    }
-  }
-  void RecordCostRecv(const Message& message) {
-    if (!CostEnabled()) return;
-    if (global_ledger_ != nullptr) global_ledger_->RecordRecv(message);
-    if (message.dst.value < ledgers_.size() &&
-        ledgers_[message.dst.value] != nullptr) {
-      ledgers_[message.dst.value]->RecordRecv(message);
-    }
-  }
+  // -- runtime hooks ------------------------------------------------------
 
+  // Schedules one copy of a sent message to arrive at `arrival_us`; the
+  // runtime hands it to Deliver() then. `sent_us` is the send time, both
+  // on the now_us() scale. Called with mu_ held. A runtime may refuse the
+  // message; Send returns the refusal, the send stays charged.
+  virtual Status Enqueue(std::unique_ptr<Message> message, int64_t sent_us,
+                         int64_t arrival_us) = 0;
+
+  // Hands `peer` the news that its pipe to `other` is gone; the runtime
+  // calls DeliverPipeClosed() on the peer's handler context. Called
+  // without mu_ held.
+  virtual void NotifyPipeClosed(PeerId peer, PeerId other) = 0;
+
+  // Peer `id` has joined. Called with mu_ held.
+  virtual void OnJoin(PeerId id) { (void)id; }
+
+  // -- delivery, called by the runtimes without mu_ held -------------------
+
+  // Hands `message` to its destination's handler unless it was lost in
+  // flight (destination gone or pipe closed since the send).
+  void Deliver(const Message& message, int64_t sent_us);
+  void DeliverPipeClosed(PeerId peer, PeerId other);
+
+  // Guards the peer and pipe tables, the default fault profile and the
+  // transport counters; the threaded runtime also guards its inboxes and
+  // timers with it. Never held while a peer's handler runs.
+  mutable std::mutex mu_;
   QueueProfiler profiler_;
 
  private:
+  struct PeerEntry {
+    std::string name;
+    NetworkPeer* handler = nullptr;
+    bool alive = false;
+  };
+
+  bool IsAliveLocked(PeerId id) const {
+    return id.valid() && id.value < peers_.size() && peers_[id.value].alive;
+  }
+  Pipe* FindPipeLocked(PeerId from, PeerId to);
+  bool HasPipeLocked(PeerId from, PeerId to) const;
+
+  bool CostEnabled() const {
+    return cost_enabled_.load(std::memory_order_acquire);
+  }
+  void RecordCostSend(const Message& message);
+  void RecordCostRecv(const Message& message);
+
+  std::vector<PeerEntry> peers_;
+  std::map<std::pair<uint32_t, uint32_t>, Pipe> pipes_;
+  // Open-pipe adjacency (both directions), so Neighbors() is O(degree)
+  // rather than a scan of every pipe — the difference between beacon
+  // ticks costing O(E) and O(n·E) per period at thousand-peer scale.
+  std::vector<std::set<uint32_t>> adjacency_;
+  FaultProfile default_fault_;
+  TransportStats stats_;
+
   std::vector<CostLedger*> ledgers_;
   CostLedger* global_ledger_ = nullptr;
   std::atomic<bool> cost_enabled_{false};

@@ -27,7 +27,6 @@ struct LinkProfile {
   FaultProfile fault;
 
   static LinkProfile Lan() { return {/*latency*/ 200, /*bw*/ 100.0, {}}; }
-  static LinkProfile Wan() { return {/*latency*/ 20000, /*bw*/ 1.0, {}}; }
 };
 
 // One direction of a pipe between two peers.
@@ -41,7 +40,6 @@ class Pipe {
 
   PeerId from() const { return from_; }
   PeerId to() const { return to_; }
-  const LinkProfile& profile() const { return profile_; }
 
   bool open() const { return open_; }
   void Close() { open_ = false; }
@@ -54,7 +52,6 @@ class Pipe {
   // Replaces the fault profile and restarts its deterministic sequence
   // (used by churn scripts to start/heal partitions mid-run).
   void SetFault(const FaultProfile& fault);
-  const FaultProfile& fault() const { return profile_.fault; }
 
   // Advances the injector by one message.
   FaultInjector::Decision NextFault() { return injector_.Next(); }

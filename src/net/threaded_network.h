@@ -24,7 +24,11 @@
 //     is executing and no timer is due, and synchronizes memory with the
 //     workers);
 //   * pipe latency is honoured by delaying delivery; bandwidth-queueing
-//     is modelled per pipe like the simulator.
+//     is modelled per pipe by the same Pipe code the simulator uses.
+//
+// Peers, pipes, faults, accounting and delivery live in NetworkBase
+// (net/network_interface.h); this class is the worker threads, their
+// inboxes, the timer thread and the quiescence wait.
 
 #ifndef CODB_NET_THREADED_NETWORK_H_
 #define CODB_NET_THREADED_NETWORK_H_
@@ -32,10 +36,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <deque>
-#include <map>
 #include <memory>
-#include <mutex>
-#include <string>
 #include <thread>
 #include <vector>
 
@@ -50,29 +51,9 @@ class ThreadedNetwork : public NetworkBase {
   ThreadedNetwork(const ThreadedNetwork&) = delete;
   ThreadedNetwork& operator=(const ThreadedNetwork&) = delete;
 
-  using NetworkBase::OpenPipe;
   using NetworkBase::Run;
 
-  PeerId Join(const std::string& name, NetworkPeer* peer) override;
-  Status Leave(PeerId id) override;
-  bool IsAlive(PeerId id) const override;
-  std::string NameOf(PeerId id) const override;
-  Result<PeerId> FindByName(const std::string& name) const override;
-  std::vector<PeerId> AlivePeers() const override;
-
-  Status OpenPipe(PeerId a, PeerId b, LinkProfile profile) override;
-  Status ClosePipe(PeerId a, PeerId b) override;
-  Status SetFaultProfile(PeerId a, PeerId b,
-                         const FaultProfile& fault) override;
-  void SetDefaultFaultProfile(const FaultProfile& fault) override;
-  bool HasPipe(PeerId from, PeerId to) const override;
-  std::vector<PeerId> Neighbors(PeerId id) const override;
-  size_t open_pipe_count() const override;
-
-  Status Send(Message message) override;
   void ScheduleAt(int64_t time_us, std::function<void()> action) override;
-  void ScheduleAfter(int64_t delay_us,
-                     std::function<void()> action) override;
   void ScheduleMaintenance(int64_t delay_us,
                            std::function<void()> action) override;
 
@@ -89,41 +70,28 @@ class ThreadedNetwork : public NetworkBase {
   // letting maintenance traffic fire, then drains to quiescence.
   uint64_t RunUntil(int64_t deadline_us) override;
 
-  TransportStats& stats() override { return stats_; }
-  const TransportStats& stats() const override { return stats_; }
+ protected:
+  Status Enqueue(std::unique_ptr<Message> message, int64_t sent_us,
+                 int64_t arrival_us) override;
+  void NotifyPipeClosed(PeerId peer, PeerId other) override;
+  // Starts the peer's delivery thread.
+  void OnJoin(PeerId id) override;
 
  private:
   struct InboxItem {
-    // Exactly one of the three is meaningful.
+    // Null for a pipe-closed notification about `closed_other`.
     std::unique_ptr<Message> message;
-    bool pipe_closed = false;
     PeerId closed_other;
     std::chrono::steady_clock::time_point due;
-    // When the item entered the inbox; the gap to dispatch is the queue
-    // sojourn (modelled wire delay + any worker backlog) the profiler
-    // reports.
-    std::chrono::steady_clock::time_point enqueued;
+    int64_t sent_us = 0;  // now_us() at the send, for the sojourn
     // Maintenance items do not count toward busy_ while queued; the
     // worker counts them only while their handler is executing.
     bool maintenance = false;
   };
 
   struct Worker {
-    std::string name;
-    NetworkPeer* handler = nullptr;
-    bool alive = false;
     std::thread thread;
-    std::deque<InboxItem> inbox;  // guarded by mutex_
-  };
-
-  struct PipeState {
-    LinkProfile profile;
-    bool open = false;
-    // Bandwidth queueing: when the link is next free, in now_us() time.
-    int64_t busy_until_us = 0;
-    // Same decision sequence as the simulator's Pipe for identical
-    // per-pipe traffic (guarded by mutex_, like the rest of the state).
-    FaultInjector injector;
+    std::deque<InboxItem> inbox;  // guarded by mu_
   };
 
   struct Timer {
@@ -134,28 +102,26 @@ class ThreadedNetwork : public NetworkBase {
 
   void WorkerLoop(uint32_t index);
   void TimerLoop();
-  void EnqueueLocked(uint32_t peer, InboxItem item);
-  void NotifyPipeClosedLocked(PeerId peer, PeerId other);
-  const PipeState* FindPipeLocked(PeerId from, PeerId to) const;
+  void PushInboxLocked(uint32_t peer, InboxItem item);
+  void PushTimer(Timer timer);
 
-  mutable std::mutex mutex_;
+  std::chrono::steady_clock::time_point epoch_;
+
+  // Everything below is guarded by mu_ (NetworkBase).
   std::condition_variable work_cv_;       // workers + timer wait on this
   std::condition_variable quiescent_cv_;  // Run() waits on this
-
-  std::vector<std::unique_ptr<Worker>> workers_;
-  std::map<std::pair<uint32_t, uint32_t>, PipeState> pipes_;
-  FaultProfile default_fault_;  // guarded by mutex_
   std::vector<Timer> timers_;
-  std::thread timer_thread_;
-
   // Items enqueued-but-not-finished (inbox entries + running handlers +
-  // pending timers). Quiescent == 0. Guarded by mutex_.
+  // pending timers). Quiescent == 0.
   uint64_t busy_ = 0;
   uint64_t events_processed_ = 0;
   bool shutdown_ = false;
 
-  std::chrono::steady_clock::time_point epoch_;
-  TransportStats stats_;  // guarded by mutex_
+  // The threads last: they use everything above. Indexed by PeerId; a
+  // departed peer's worker keeps draining its inbox, so traffic still in
+  // flight to it is counted as lost by Deliver().
+  std::vector<std::unique_ptr<Worker>> workers_;
+  std::thread timer_thread_;
 };
 
 }  // namespace codb

@@ -1,7 +1,7 @@
-// Transport-level counters: messages and bytes per message type and per
-// pipe. These feed the statistics the paper's demo collects ("number of
-// query result messages received per coordination rule and the volume of
-// the data in each message").
+// Transport-level counters: messages and bytes per message type, plus
+// losses and injected faults. These feed the statistics the paper's demo
+// collects ("number of query result messages received per coordination
+// rule and the volume of the data in each message").
 
 #ifndef CODB_NET_TRANSPORT_STATS_H_
 #define CODB_NET_TRANSPORT_STATS_H_

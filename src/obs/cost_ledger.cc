@@ -61,13 +61,8 @@ CostClass ClassifyMessage(MessageType type, bool retransmit) {
 
 void CostLedger::RecordSend(const Message& message) {
   const size_t cls = static_cast<size_t>(ClassifyMessage(message));
-  const uint64_t bytes = message.WireSize();
   sent_[cls].messages.fetch_add(1, std::memory_order_relaxed);
-  sent_[cls].bytes.fetch_add(bytes, std::memory_order_relaxed);
-  std::lock_guard<std::mutex> lock(pair_mutex_);
-  Totals& pair = pairs_[{message.src.value, message.dst.value}][cls];
-  ++pair.messages;
-  pair.bytes += bytes;
+  sent_[cls].bytes.fetch_add(message.WireSize(), std::memory_order_relaxed);
 }
 
 void CostLedger::RecordRecv(const Message& message) {
@@ -95,14 +90,6 @@ uint64_t CostLedger::TotalSentBytes() const {
     total += cell.bytes.load(std::memory_order_relaxed);
   }
   return total;
-}
-
-CostLedger::Totals CostLedger::PairSent(uint32_t src, uint32_t dst,
-                                        CostClass cls) const {
-  std::lock_guard<std::mutex> lock(pair_mutex_);
-  auto it = pairs_.find({src, dst});
-  if (it == pairs_.end()) return {};
-  return it->second[static_cast<size_t>(cls)];
 }
 
 bool CostLedger::empty() const {

@@ -6,22 +6,21 @@
 // volumes — the O(n²) config broadcast, discovery's announcement flood,
 // retransmission waste — which cut across message types and directions.
 // The ledger classifies each sent/received message into a CostClass and
-// accounts bytes + counts per class, per direction, and per peer pair
-// (send side), entirely with relaxed atomics so an attached ledger stays
-// off the critical path.
+// accounts bytes + counts per class and per direction, entirely with
+// relaxed atomics so an attached ledger stays off the critical path.
 //
 // Deployment shape: every node owns one ledger inside its statistical
-// module; the runtimes (net/network.cc, net/threaded_network.cc) record
-// the send side into the source's ledger and the receive side into the
-// destination's. Snapshot() emits plain `cost.*` counters into a
-// MetricsSnapshot, so the per-node breakdown rides the existing
-// kStatsReport trailer unchanged and merges network-wide through the
-// super-peer exactly like every other metric. A network-wide ledger can
-// additionally be installed for benches that want totals without a stats
-// collection (NetworkBase::SetGlobalCostLedger).
+// module; the network core (NetworkBase::Send and Deliver in
+// net/network_interface.cc) records the send side into the source's
+// ledger and the receive side into the destination's. Snapshot() emits
+// plain `cost.*` counters into a MetricsSnapshot, so the per-node
+// breakdown rides the existing kStatsReport trailer unchanged and merges
+// network-wide through the super-peer exactly like every other metric. A
+// network-wide ledger can additionally be installed for benches that
+// want totals without a stats collection (NetworkBase::SetGlobalCostLedger).
 //
 // Off-by-default-cheap: nothing here runs unless a ledger is attached —
-// the runtimes guard recording behind one atomic flag load.
+// the core guards recording behind one atomic flag load.
 
 #ifndef CODB_OBS_COST_LEDGER_H_
 #define CODB_OBS_COST_LEDGER_H_
@@ -29,10 +28,7 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
-#include <map>
-#include <mutex>
 #include <string>
-#include <utility>
 
 #include "net/message.h"
 #include "obs/metrics.h"
@@ -73,9 +69,7 @@ class CostLedger {
   CostLedger(const CostLedger&) = delete;
   CostLedger& operator=(const CostLedger&) = delete;
 
-  // Hot path: per-class cells are relaxed atomics; the per-pair map takes
-  // a (virtually uncontended) mutex. Send-side pairs only — the receive
-  // side of the same traffic is the mirrored key in the peer's ledger.
+  // Hot path: per-class cells are relaxed atomics, no lock.
   void RecordSend(const Message& message);
   void RecordRecv(const Message& message);
 
@@ -84,9 +78,6 @@ class CostLedger {
   uint64_t SentBytes(CostClass cls) const { return Sent(cls).bytes; }
   uint64_t ReceivedBytes(CostClass cls) const { return Received(cls).bytes; }
   uint64_t TotalSentBytes() const;
-
-  // Send-side totals for one (src, dst) pair and class.
-  Totals PairSent(uint32_t src, uint32_t dst, CostClass cls) const;
 
   // True when nothing was ever recorded.
   bool empty() const;
@@ -105,11 +96,6 @@ class CostLedger {
 
   std::array<Cell, kCostClassCount> sent_;
   std::array<Cell, kCostClassCount> recv_;
-
-  mutable std::mutex pair_mutex_;
-  std::map<std::pair<uint32_t, uint32_t>,
-           std::array<Totals, kCostClassCount>>
-      pairs_;
 };
 
 // Renders the `cost.*` entries of a (possibly node-merged) snapshot as a

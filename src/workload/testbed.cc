@@ -4,6 +4,13 @@
 
 namespace codb {
 
+namespace {
+
+// Events a settle run may consume (discovery + config).
+constexpr uint64_t kSettleEventCap = 1'000'000;
+
+}  // namespace
+
 Result<std::unique_ptr<Testbed>> Testbed::Create(
     const GeneratedNetwork& generated, Options options) {
   auto testbed = std::unique_ptr<Testbed>(new Testbed());
@@ -60,7 +67,7 @@ Result<std::unique_ptr<Testbed>> Testbed::Create(
   for (auto& super : testbed->super_peers_) {
     CODB_RETURN_IF_ERROR(super->BroadcastConfig());
   }
-  testbed->network_->Run(options.settle_event_cap);
+  testbed->network_->Run(kSettleEventCap);
 
   for (const auto& node : testbed->nodes_) {
     if (!node->has_config()) {
@@ -207,7 +214,7 @@ Result<Node*> Testbed::RestartNode(const std::string& name) {
   for (auto& super : super_peers_) {
     CODB_RETURN_IF_ERROR(super->BroadcastConfig());
   }
-  network_->Run(options_.settle_event_cap);
+  network_->Run(kSettleEventCap);
   if (!revived->has_config()) {
     return Status::Internal("restarted node '" + name +
                             "' did not receive the configuration");

@@ -27,8 +27,6 @@ class Testbed {
   struct Options {
     // Options of every spawned node (core/node.h).
     Node::Options node;
-    // Events the initial settle run may consume (discovery + config).
-    uint64_t settle_event_cap = 1'000'000;
     // false: deterministic discrete-event simulator (the default).
     // true: ThreadedNetwork — one real delivery thread per peer.
     bool threaded = false;

@@ -251,14 +251,17 @@ class FlakyNetwork : public Network {
     victim_ = victim;
     armed_ = true;
   }
-  Status Send(Message message) override {
-    if (armed_ && message.dst == victim_ &&
-        (message.type == MessageType::kConfigSlice ||
-         message.type == MessageType::kConfigDelta)) {
+
+ protected:
+  Status Enqueue(std::unique_ptr<Message> message, int64_t sent_us,
+                 int64_t arrival_us) override {
+    if (armed_ && message->dst == victim_ &&
+        (message->type == MessageType::kConfigSlice ||
+         message->type == MessageType::kConfigDelta)) {
       armed_ = false;
       return Status::Unavailable("injected config send failure");
     }
-    return Network::Send(std::move(message));
+    return Network::Enqueue(std::move(message), sent_us, arrival_us);
   }
 
  private:

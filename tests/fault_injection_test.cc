@@ -129,67 +129,82 @@ Message Msg(PeerId src, PeerId dst) {
   return m;
 }
 
-TEST(FaultNetworkTest, FullDropLosesEverythingAndCountsIt) {
-  Network network;
-  CountingPeer a;
-  CountingPeer b;
-  PeerId id_a = network.Join("a", &a);
-  PeerId id_b = network.Join("b", &b);
-  ASSERT_TRUE(network.OpenPipe(id_a, id_b).ok());
-  ASSERT_TRUE(
-      network.SetFaultProfile(id_a, id_b, FaultProfile::Partition()).ok());
+// Runtime 0 is the simulator, runtime 1 the threaded runtime.
+std::unique_ptr<NetworkBase> MakeRuntime(int runtime) {
+  if (runtime == 0) return std::make_unique<Network>();
+  return std::make_unique<ThreadedNetwork>();
+}
 
-  for (int i = 0; i < 10; ++i) {
-    ASSERT_TRUE(network.Send(Msg(id_a, id_b)).ok());
+TEST(FaultNetworkTest, FullDropLosesEverythingAndCountsIt) {
+  for (int runtime = 0; runtime < 2; ++runtime) {
+    SCOPED_TRACE(runtime == 0 ? "simulator" : "threaded");
+    CountingPeer a;
+    CountingPeer b;
+    std::unique_ptr<NetworkBase> network = MakeRuntime(runtime);
+    PeerId id_a = network->Join("a", &a);
+    PeerId id_b = network->Join("b", &b);
+    ASSERT_TRUE(network->OpenPipe(id_a, id_b).ok());
+    ASSERT_TRUE(
+        network->SetFaultProfile(id_a, id_b, FaultProfile::Partition()).ok());
+
+    for (int i = 0; i < 10; ++i) {
+      ASSERT_TRUE(network->Send(Msg(id_a, id_b)).ok());
+    }
+    network->Run();
+    EXPECT_EQ(b.received.load(), 0);
+    EXPECT_EQ(network->stats().injected_drops(), 10u);
+    // Sends are still counted: the sender paid for them.
+    EXPECT_EQ(network->stats().total_messages(), 10u);
   }
-  network.Run();
-  EXPECT_EQ(b.received.load(), 0);
-  EXPECT_EQ(network.stats().injected_drops(), 10u);
-  // Sends are still counted: the sender paid for them.
-  EXPECT_EQ(network.stats().total_messages(), 10u);
 }
 
 TEST(FaultNetworkTest, FullDuplicationDeliversTwice) {
-  Network network;
-  CountingPeer a;
-  CountingPeer b;
-  PeerId id_a = network.Join("a", &a);
-  PeerId id_b = network.Join("b", &b);
-  ASSERT_TRUE(network.OpenPipe(id_a, id_b).ok());
-  ASSERT_TRUE(network
-                  .SetFaultProfile(id_a, id_b,
-                                   FaultProfile::Duplicate(1.0, /*seed=*/1))
-                  .ok());
+  for (int runtime = 0; runtime < 2; ++runtime) {
+    SCOPED_TRACE(runtime == 0 ? "simulator" : "threaded");
+    CountingPeer a;
+    CountingPeer b;
+    std::unique_ptr<NetworkBase> network = MakeRuntime(runtime);
+    PeerId id_a = network->Join("a", &a);
+    PeerId id_b = network->Join("b", &b);
+    ASSERT_TRUE(network->OpenPipe(id_a, id_b).ok());
+    ASSERT_TRUE(network
+                    ->SetFaultProfile(id_a, id_b,
+                                      FaultProfile::Duplicate(1.0, /*seed=*/1))
+                    .ok());
 
-  for (int i = 0; i < 10; ++i) {
-    ASSERT_TRUE(network.Send(Msg(id_a, id_b)).ok());
+    for (int i = 0; i < 10; ++i) {
+      ASSERT_TRUE(network->Send(Msg(id_a, id_b)).ok());
+    }
+    network->Run();
+    EXPECT_EQ(b.received.load(), 20);
+    EXPECT_EQ(network->stats().injected_dups(), 10u);
   }
-  network.Run();
-  EXPECT_EQ(b.received.load(), 20);
-  EXPECT_EQ(network.stats().injected_dups(), 10u);
 }
 
 TEST(FaultNetworkTest, ReorderDelaysButNeverLoses) {
-  Network network;
-  CountingPeer a;
-  CountingPeer b;
-  PeerId id_a = network.Join("a", &a);
-  PeerId id_b = network.Join("b", &b);
-  ASSERT_TRUE(network.OpenPipe(id_a, id_b).ok());
-  ASSERT_TRUE(network
-                  .SetFaultProfile(
-                      id_a, id_b,
-                      FaultProfile::Reorder(1.0, /*jitter_us=*/5000,
-                                            /*seed=*/3))
-                  .ok());
+  for (int runtime = 0; runtime < 2; ++runtime) {
+    SCOPED_TRACE(runtime == 0 ? "simulator" : "threaded");
+    CountingPeer a;
+    CountingPeer b;
+    std::unique_ptr<NetworkBase> network = MakeRuntime(runtime);
+    PeerId id_a = network->Join("a", &a);
+    PeerId id_b = network->Join("b", &b);
+    ASSERT_TRUE(network->OpenPipe(id_a, id_b).ok());
+    ASSERT_TRUE(network
+                    ->SetFaultProfile(
+                        id_a, id_b,
+                        FaultProfile::Reorder(1.0, /*jitter_us=*/5000,
+                                              /*seed=*/3))
+                    .ok());
 
-  for (int i = 0; i < 20; ++i) {
-    ASSERT_TRUE(network.Send(Msg(id_a, id_b)).ok());
+    for (int i = 0; i < 20; ++i) {
+      ASSERT_TRUE(network->Send(Msg(id_a, id_b)).ok());
+    }
+    network->Run();
+    EXPECT_EQ(b.received.load(), 20);
+    EXPECT_EQ(network->stats().injected_drops(), 0u);
+    EXPECT_GT(network->stats().injected_delays(), 0u);
   }
-  network.Run();
-  EXPECT_EQ(b.received.load(), 20);
-  EXPECT_EQ(network.stats().injected_drops(), 0u);
-  EXPECT_GT(network.stats().injected_delays(), 0u);
 }
 
 // The simulator and the threaded runtime must inject the *same* faults
@@ -205,14 +220,9 @@ TEST(FaultNetworkTest, RuntimesInjectIdenticalFaultSequences) {
   uint64_t dups[2];
   int delivered[2];
   for (int runtime = 0; runtime < 2; ++runtime) {
-    std::unique_ptr<NetworkBase> network;
-    if (runtime == 0) {
-      network = std::make_unique<Network>();
-    } else {
-      network = std::make_unique<ThreadedNetwork>();
-    }
     CountingPeer a;
     CountingPeer b;
+    std::unique_ptr<NetworkBase> network = MakeRuntime(runtime);
     // Names pin the peer ids so MixSeed sees identical endpoints.
     PeerId id_a = network->Join("a", &a);
     PeerId id_b = network->Join("b", &b);

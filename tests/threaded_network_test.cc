@@ -70,8 +70,14 @@ TEST(ThreadedNetworkTest, SendValidatesPipesAndPeers) {
   EXPECT_EQ(network.Send(m).code(), StatusCode::kUnavailable);
 
   ASSERT_TRUE(network.OpenPipe(id_a, id_b).ok());
+  EXPECT_EQ(network.Neighbors(id_a), (std::vector<PeerId>{id_b}));
+  EXPECT_EQ(network.Neighbors(id_b), (std::vector<PeerId>{id_a}));
+  EXPECT_EQ(network.open_pipe_count(), 1u);
   EXPECT_TRUE(network.Send(m).ok());
   ASSERT_TRUE(network.ClosePipe(id_a, id_b).ok());
+  EXPECT_TRUE(network.Neighbors(id_a).empty());
+  EXPECT_TRUE(network.Neighbors(id_b).empty());
+  EXPECT_EQ(network.open_pipe_count(), 0u);
   EXPECT_EQ(network.Send(m).code(), StatusCode::kUnavailable);
   network.Run();
   // Both endpoints saw the closure notification.
@@ -94,10 +100,19 @@ TEST(ThreadedNetworkTest, LeaveDropsTrafficAndNotifies) {
   CountingPeer b;
   PeerId id_a = network.Join("a", &a);
   PeerId id_b = network.Join("b", &b);
-  ASSERT_TRUE(network.OpenPipe(id_a, id_b).ok());
+  LinkProfile slow;
+  slow.latency_us = 200'000;
+  ASSERT_TRUE(network.OpenPipe(id_a, id_b, slow).ok());
+  // Still on the wire when b leaves: lost, and counted like the
+  // simulator counts it.
+  ASSERT_TRUE(
+      network.Send(Message{id_a, id_b, MessageType::kAdvertisement, {}})
+          .ok());
   ASSERT_TRUE(network.Leave(id_b).ok());
   EXPECT_FALSE(network.IsAlive(id_b));
   network.Run();
+  EXPECT_EQ(b.received.load(), 0);
+  EXPECT_EQ(network.stats().dropped_messages(), 1u);
   EXPECT_EQ(a.pipe_closures.load(), 1);
   EXPECT_FALSE(network.Send(Message{id_b, id_a,
                                     MessageType::kAdvertisement, {}})
