@@ -124,11 +124,22 @@ void RunMembershipScale() {
     bool completed = bed.AllComplete(update.value());
 
     // Federation still yields the network-wide view over the survivors.
+    // The retained-state gauges (query.states, query.layer_rows) ride in
+    // every node's stats report; their network-wide sums go into the JSON
+    // for codb_profile.
     size_t nodes_reporting = 0;
+    JsonValue retained = JsonValue::Object();
     if (bed.CollectStats().ok()) {
       std::vector<AggregatedUpdateStats> federated =
           bed.super_peer(0).FederatedAggregate();
       if (!federated.empty()) nodes_reporting = federated[0].nodes_reporting;
+      const MetricsSnapshot metrics = bed.super_peer(0).FederatedMetrics();
+      for (const char* gauge : {"query.states", "query.layer_rows"}) {
+        auto it = metrics.entries.find(gauge);
+        retained.Set(gauge, JsonValue::Int(
+                                it != metrics.entries.end() ? it->second.value
+                                                            : 0));
+      }
     }
 
     double detect_mean = probe.MeanDetectPeriods(kPeriodUs);
@@ -238,6 +249,7 @@ void RunMembershipScale() {
       }
       obj.Set("cost", cost.Snapshot().ToJson());
       obj.Set("profile", net.profiler().Snapshot().ToJson());
+      obj.Set("retained", std::move(retained));
       obj.Set("wall_ms", JsonValue::Number(wall_ms));
       RecordJson(std::move(obj));
     }

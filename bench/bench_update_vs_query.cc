@@ -7,14 +7,20 @@
 //   * the virtual latency of one distributed (cold) query,
 //   * the cost of a one-time global update,
 //   * the latency of a local query afterwards (zero network),
+//   * the wall time of one distributed (warm) query afterwards, and the
+//     rows its overlay had to layer at n0,
 // and the break-even query count: how many queries amortize the update.
 //
 // Expected shape: cold-query latency grows with path length; local-query
 // latency is flat and near zero; the crossover favours the batch update
-// after a handful of queries.
+// after a handful of queries. A warm distributed query fetches only rows
+// n0 already holds, so its overlay layers nothing: the binary exits
+// non-zero unless, on every chain, the warm query's answers equal
+// LocalQuery's and its layer at n0 holds 0 rows (query.layer_rows).
 
 #include <algorithm>
 #include <cstdio>
+#include <set>
 #include <vector>
 
 #include "bench_util.h"
@@ -28,9 +34,10 @@ namespace {
 void Run() {
   Print(
       "E2: query-time answering vs global update + local query (chains)\n");
-  Print("%5s | %12s %12s | %12s %12s | %9s\n", "nodes",
-              "coldQ virt", "coldQ msgs", "update virt", "localQ wall",
-              "x10");
+  Print("%5s | %12s %12s | %12s %12s | %12s %6s | %9s\n", "nodes",
+        "coldQ virt", "coldQ msgs", "update virt", "localQ wall",
+        "warmQ wall", "layer", "x10");
+  bool warm_gate_failed = false;
 
   for (int n : {2, 4, 8, 16}) {
     WorkloadOptions options;
@@ -60,6 +67,8 @@ void Run() {
     int64_t update_virtual = 0;
     double update_wall_ms = 0;
     double local_wall_us = 0;
+    double warm_wall_us = 0;
+    int64_t warm_layer_rows = 0;
     {
       std::unique_ptr<Testbed> bed =
           std::move(Testbed::Create(generated)).value();
@@ -77,6 +86,32 @@ void Run() {
       }
       local_wall_us =
           static_cast<double>(wall.ElapsedMicros()) / kRepetitions;
+
+      // One warm distributed query: every row it fetches is already in
+      // n0's snapshot, so nothing lands in its layer.
+      Node* n0 = bed->node("n0");
+      Gauge* layer_rows =
+          n0->statistics().metrics().GetGauge("query.layer_rows");
+      const int64_t layer_before = layer_rows->value();
+      Stopwatch warm_wall;
+      FlowId warm = n0->StartQuery(query).value();
+      bed->network().Run();
+      std::vector<Tuple> warm_answers = n0->QueryAnswers(warm).value();
+      warm_wall_us = static_cast<double>(warm_wall.ElapsedMicros());
+      warm_layer_rows = layer_rows->value() - layer_before;
+      std::vector<Tuple> local = n0->LocalQuery(query).value();
+      const bool same = n0->QueryDone(warm) &&
+                        std::set<Tuple>(warm_answers.begin(),
+                                        warm_answers.end()) ==
+                            std::set<Tuple>(local.begin(), local.end());
+      if (!same || warm_layer_rows != 0) {
+        std::fprintf(stderr,
+                     "E2 GATE FAILED at chain/%d: warm query answers %s "
+                     "LocalQuery, layer holds %lld rows (need equal, 0)\n",
+                     n, same ? "equal" : "differ from",
+                     static_cast<long long>(warm_layer_rows));
+        warm_gate_failed = true;
+      }
     }
 
     // Ten queries each way: cold pays the fetch every time, warm pays the
@@ -91,6 +126,8 @@ void Run() {
       obj.Set("update_virtual_us", JsonValue::Int(update_virtual));
       obj.Set("update_wall_ms", JsonValue::Number(update_wall_ms));
       obj.Set("local_query_wall_us", JsonValue::Number(local_wall_us));
+      obj.Set("warm_query_wall_us", JsonValue::Number(warm_wall_us));
+      obj.Set("warm_query_layer_rows", JsonValue::Int(warm_layer_rows));
       obj.Set("amortization_x10",
               JsonValue::Number(ten_warm > 0
                                     ? static_cast<double>(ten_cold) /
@@ -98,18 +135,23 @@ void Run() {
                                     : 0.0));
       RecordJson(std::move(obj));
     }
-    Print("%5d | %10lldus %10llu | %10lldus %10.1fus | %8.1fx\n", n,
-                static_cast<long long>(cold_virtual),
-                static_cast<unsigned long long>(cold_messages),
-                static_cast<long long>(update_virtual), local_wall_us,
-                ten_warm > 0 ? static_cast<double>(ten_cold) /
-                                   static_cast<double>(ten_warm)
-                             : 0.0);
+    Print("%5d | %10lldus %10llu | %10lldus %10.1fus | %10.0fus %6lld | "
+          "%8.1fx\n",
+          n, static_cast<long long>(cold_virtual),
+          static_cast<unsigned long long>(cold_messages),
+          static_cast<long long>(update_virtual), local_wall_us,
+          warm_wall_us, static_cast<long long>(warm_layer_rows),
+          ten_warm > 0 ? static_cast<double>(ten_cold) /
+                             static_cast<double>(ten_warm)
+                       : 0.0);
   }
   Print(
       "\nx10 = (10 cold queries) / (one update + 10 local queries), in\n"
       "virtual network time: one distributed fetch costs about as much as\n"
-      "the whole batch update, so every repeated query amortizes it.\n");
+      "the whole batch update, so every repeated query amortizes it.\n"
+      "warmQ wall / layer: one distributed query from n0 after the update\n"
+      "(start to answers) and the rows its overlay layered at n0.\n");
+  if (warm_gate_failed) std::exit(1);
 
   // -- heavy scenarios: the evaluator-bound update ------------------------
   // Join-copy chains write both body relations of a join rule at every

@@ -211,8 +211,9 @@ class Shell {
       if (!(t == victim)) kept.push_back(t);
     }
     if (kept.size() == rel->size()) return Fail("tuple not found");
-    rel->Clear();
-    for (const Tuple& t : kept) rel->Insert(t);
+    // Relations only grow: a deletion swaps in a rebuilt relation.
+    Status replaced = node->database().Replace(relation, kept);
+    if (!replaced.ok()) return Fail(replaced.ToString());
     return true;
   }
 

@@ -104,14 +104,13 @@ rule mirror hq <- branch : account(I, B) :- account(I, B).
   std::remove(path.c_str());
 
   // -- 3. Deletion propagation via a refresh update -------------------------
-  // The branch closes account 2.
-  codb::Relation* accounts = branch->database().Find("account");
+  // The branch closes account 2. Relations only grow, so a deletion swaps
+  // in a rebuilt relation.
   std::vector<Tuple> kept;
-  for (const Tuple& t : accounts->rows()) {
+  for (const Tuple& t : branch->database().Find("account")->rows()) {
     if (!(t.at(0) == Value::Int(2))) kept.push_back(t);
   }
-  accounts->Clear();
-  for (const Tuple& t : kept) accounts->Insert(t);
+  Check(branch->database().Replace("account", kept), "delete");
 
   Check(hq->StartGlobalRefresh(), "refresh");
   network.Run();

@@ -15,23 +15,23 @@ QueryManager::QueryManager(const Context& context, uint64_t* query_seq)
       m_results_out_(stats_->metrics().GetCounter("query.results_out")),
       m_done_in_(stats_->metrics().GetCounter("query.done_in")),
       m_rule_evals_(stats_->metrics().GetCounter("query.rule_evals")),
-      query_seq_(query_seq) {}
-
-QueryManager::QueryState& QueryManager::StateOf(const FlowId& query) {
-  return queries_[query];
+      m_states_(stats_->metrics().GetGauge("query.states")),
+      m_layer_rows_(stats_->metrics().GetGauge("query.layer_rows")),
+      query_seq_(query_seq) {
+  // A rebuilt manager starts empty; its predecessor's states went with it.
+  m_states_->Set(0);
+  m_layer_rows_->Set(0);
 }
 
-Database& QueryManager::OverlayOf(QueryState& state) {
+QueryManager::QueryState& QueryManager::StateOf(const FlowId& query) {
+  QueryState& state = queries_[query];
+  m_states_->Set(static_cast<int64_t>(queries_.size()));
+  return state;
+}
+
+Overlay& QueryManager::OverlayOf(QueryState& state) {
   if (state.overlay == nullptr) {
-    state.overlay = std::make_unique<Database>();
-    // Copy-on-start snapshot of the store.
-    const Database& storage = wrapper_->storage();
-    for (const std::string& name : storage.RelationNames()) {
-      const Relation* relation = storage.Find(name);
-      state.overlay->CreateRelation(relation->schema());
-      Relation* copy = state.overlay->Find(name);
-      for (const Tuple& tuple : relation->rows()) copy->Insert(tuple);
-    }
+    state.overlay = std::make_unique<Overlay>(wrapper_->storage());
   }
   return *state.overlay;
 }
@@ -177,15 +177,15 @@ void QueryManager::Serve(
   if (LocallyInconsistent()) return;
   const CoordinationRule& rule = compiled_incoming_.at(rule_id);
   QueryState::Serving& serving = state.serving.at(rule_id);
-  Database& overlay = OverlayOf(state);
+  const Overlay& overlay = OverlayOf(state);
 
   m_rule_evals_->Add();
   ScopedSpan span(
       Tracer::Global().BeginSpanHere("query.serve", TraceTag(query)));
   Tracer::Global().AddArg(span.id(), "rule", rule_id);
 
-  // The overlay is private to this query and only touched under the
-  // monitor, so no store guard is needed.
+  // The snapshot part reads the live store: safe because every handler
+  // runs under Node::mutex_, the lock of the store's writers.
   std::vector<Tuple> frontiers =
       delta == nullptr ? rule.EvaluateFrontier(overlay)
                        : rule.EvaluateFrontierDeltas(overlay, *delta);
@@ -237,7 +237,7 @@ void QueryManager::OnResult(const Message& message) {
   Tracer::Global().AddArg(span.id(), "rule", result.rule_id);
 
   QueryState& state = StateOf(result.query);
-  Database& overlay = OverlayOf(state);
+  Overlay& overlay = OverlayOf(state);
 
   UpdateReport& report = stats_->ReportFor(result.query);
   ++report.data_messages_received;
@@ -247,22 +247,24 @@ void QueryManager::OnResult(const Message& message) {
   traffic.tuples += result.tuples.size();
   traffic.bytes += message.WireSize();
 
-  // Reconcile into the overlay; collect the genuinely new tuples.
+  // Reconcile into the overlay; collect the genuinely new tuples (those
+  // neither in the snapshot nor in the layer yet).
   std::map<std::string, std::vector<Tuple>> delta;
   size_t new_count = 0;
   for (const HeadTuple& ht : result.tuples) {
-    Relation* relation = overlay.Find(ht.relation);
-    if (relation == nullptr) {
+    Result<bool> added = overlay.Insert(ht.relation, ht.tuple);
+    if (!added.ok()) {
       CODB_LOG(kWarning) << node_name_ << ": query result for unknown "
                          << "relation " << ht.relation;
       continue;
     }
-    if (relation->Insert(ht.tuple)) {
+    if (added.value()) {
       delta[ht.relation].push_back(ht.tuple);
       ++new_count;
     }
   }
   report.tuples_added += new_count;
+  m_layer_rows_->Add(static_cast<int64_t>(new_count));
 
   if (state.owned && state.on_progress && new_count > 0) {
     state.on_progress({new_count, false});
@@ -300,7 +302,12 @@ void QueryManager::OnDone(const Message& message) {
   if (!done_flood_seen_.insert(query).second) return;
   auto it = queries_.find(query);
   if (it != queries_.end() && !it->second.owned) {
+    const Overlay* overlay = it->second.overlay.get();
+    if (overlay != nullptr) {
+      m_layer_rows_->Add(-static_cast<int64_t>(overlay->LayerRows()));
+    }
     queries_.erase(it);
+    m_states_->Set(static_cast<int64_t>(queries_.size()));
   }
   Flood(query, MessageType::kQueryDone, message.payload, Acquaintances(),
         /*skip=*/message.src);
@@ -328,8 +335,6 @@ Result<std::vector<Tuple>> QueryManager::Answers(const FlowId& query) const {
     return Status::NotFound("not the origin of " + query.ToString());
   }
   const QueryState& state = it->second;
-  // StartQuery builds the overlay of every owned query on the spot.
-  const Database& db = *state.overlay;
   if (!state.compiled_user_query.has_value()) {
     const ConjunctiveQuery& q = state.user_query;
     std::vector<std::string> output;
@@ -338,10 +343,11 @@ Result<std::vector<Tuple>> QueryManager::Answers(const FlowId& query) const {
     }
     CODB_ASSIGN_OR_RETURN(
         CompiledQuery compiled,
-        CompiledQuery::Compile(q, db.Schema(), output));
+        CompiledQuery::Compile(q, wrapper_->storage().Schema(), output));
     state.compiled_user_query.emplace(std::move(compiled));
   }
-  return state.compiled_user_query->Evaluate(db);
+  // StartQuery opens the overlay of every owned query on the spot.
+  return state.compiled_user_query->Evaluate(*state.overlay);
 }
 
 Result<std::vector<Tuple>> QueryManager::CertainAnswers(

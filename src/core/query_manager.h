@@ -9,10 +9,24 @@
 // data arrives. Requests carry a node-id label and are never propagated to
 // a node already in the label (simple paths, the paper's cycle guard).
 //
-// Fetched data lives in a per-query *overlay* (a copy-on-start of the local
-// store), so query-time answering leaves the node databases untouched —
-// that is precisely the contrast with the global update, which materializes
-// the data and makes later queries local (experiment E2).
+// Fetched data lives in a per-query *overlay* (relation/database.h), so
+// query-time answering leaves the node databases untouched — that is
+// precisely the contrast with the global update, which materializes the
+// data and makes later queries local (experiment E2). The overlay copies
+// nothing: on the query's first touch at a node it shares every store
+// relation and notes its row count, O(relations). Relations only grow, and
+// a refresh swaps a shrunk relation out instead of emptying it, so the
+// query keeps reading the rows its node held at that touch, whatever the
+// store does meanwhile. A fetched tuple the snapshot already holds is
+// dropped; the others go to a small per-query layer, and the query's rule
+// evaluations read snapshot plus layer through the evaluator's one
+// RelationView path, probing the store's own indexes. Reads of the live
+// store happen in handlers and API calls under Node::mutex_, which
+// serializes them with the store's writers (DESIGN.md §10).
+//
+// Retained state is exported as gauges: query.states (per-query states
+// this node holds, owned ones included) and query.layer_rows (rows held in
+// their layers).
 
 #ifndef CODB_CORE_QUERY_MANAGER_H_
 #define CODB_CORE_QUERY_MANAGER_H_
@@ -53,7 +67,8 @@ class QueryManager : public FlowEngine {
   bool IsDone(const FlowId& query) const;
 
   // Current (streaming) or final answers of an owned query: the user query
-  // evaluated over local store + fetched overlay.
+  // evaluated over the store snapshot taken at StartQuery plus the fetched
+  // layer.
   Result<std::vector<Tuple>> Answers(const FlowId& query) const;
 
   // The null-free subset of Answers(): the *certain* answers under the
@@ -79,8 +94,8 @@ class QueryManager : public FlowEngine {
     // cache. Mutable: filling it is invisible to callers of const Answers.
     mutable std::optional<CompiledQuery> compiled_user_query;
 
-    // Overlay: local store copy + fetched data; created lazily.
-    std::unique_ptr<Database> overlay;
+    // Store snapshot + fetched layer; opened on the first touch.
+    std::unique_ptr<Overlay> overlay;
 
     // Incoming links this node serves for the query: rule id -> requester
     // and the set of labels under which it was requested.
@@ -96,7 +111,7 @@ class QueryManager : public FlowEngine {
   };
 
   QueryState& StateOf(const FlowId& query);
-  Database& OverlayOf(QueryState& state);
+  Overlay& OverlayOf(QueryState& state);
 
   // FlowEngine hooks: kQueryRequest/kQueryResult/kQueryDone, and the end
   // of an owned query (reports it done and floods kQueryDone).
@@ -126,6 +141,8 @@ class QueryManager : public FlowEngine {
   Counter* m_results_out_;
   Counter* m_done_in_;
   Counter* m_rule_evals_;
+  Gauge* m_states_;      // query.states: queries_.size()
+  Gauge* m_layer_rows_;  // query.layer_rows: rows in every state's layer
 
   std::map<FlowId, QueryState> queries_;
   std::set<FlowId> done_flood_seen_;

@@ -88,7 +88,7 @@ bool CompiledQuery::UsesRelation(const std::string& relation) const {
   return false;
 }
 
-std::vector<Tuple> CompiledQuery::Evaluate(const Database& db) const {
+std::vector<Tuple> CompiledQuery::Evaluate(const RelationSource& db) const {
   // Auto-context span: records only when tracing is on AND an enclosing
   // span (an update/query handler) provides the node context.
   ScopedSpan span(Tracer::Global().BeginSpanHere("eval.full"));
@@ -99,7 +99,7 @@ std::vector<Tuple> CompiledQuery::Evaluate(const Database& db) const {
 }
 
 std::vector<Tuple> CompiledQuery::EvaluateDelta(
-    const Database& db, const std::string& delta_relation,
+    const RelationSource& db, const std::string& delta_relation,
     const std::vector<Tuple>& delta) const {
   // A new derivation must use a delta tuple for at least one occurrence of
   // the updated relation. Running one pass per occurrence with the other
@@ -133,10 +133,10 @@ void CompiledQuery::ReleaseSeen() const {
   }
 }
 
-void CompiledQuery::ResolveAtoms(const Database& db) const {
-  scratch_.atom_rels.resize(atoms_.size());
+void CompiledQuery::ResolveAtoms(const RelationSource& db) const {
+  scratch_.atom_views.resize(atoms_.size());
   for (size_t i = 0; i < atoms_.size(); ++i) {
-    scratch_.atom_rels[i] = db.Find(atoms_[i].predicate);
+    scratch_.atom_views[i] = db.View(atoms_[i].predicate);
   }
 }
 
@@ -170,9 +170,8 @@ std::vector<int> CompiledQuery::ComputeOrder(int forced_first) const {
           ++bound_count;
         }
       }
-      const Relation* rel =
-          scratch_.atom_rels[static_cast<size_t>(remaining[p])];
-      size_t size = rel != nullptr ? rel->size() : 0;
+      size_t size =
+          scratch_.atom_views[static_cast<size_t>(remaining[p])].size();
       if (bound_count > best_bound ||
           (bound_count == best_bound && size < best_size)) {
         best_bound = bound_count;
@@ -201,11 +200,8 @@ const std::vector<int>& CompiledQuery::CachedOrder(int forced_first) const {
   }
   uint64_t key = static_cast<uint64_t>(forced_first + 1) & 0xFF;
   int shift = 8;
-  for (const Relation* rel : scratch_.atom_rels) {
-    uint64_t bucket =
-        rel != nullptr
-            ? static_cast<uint64_t>(std::bit_width(rel->size()))
-            : 0;
+  for (const RelationView& view : scratch_.atom_views) {
+    uint64_t bucket = static_cast<uint64_t>(std::bit_width(view.size()));
     key |= bucket << shift;
     shift += 7;
   }
@@ -216,7 +212,7 @@ const std::vector<int>& CompiledQuery::CachedOrder(int forced_first) const {
   return it->second;
 }
 
-std::string CompiledQuery::ExplainPlan(const Database& db) const {
+std::string CompiledQuery::ExplainPlan(const RelationSource& db) const {
   ResolveAtoms(db);
   std::vector<int> order = ComputeOrder(/*forced_first=*/-1);
   std::vector<bool> var_seen(var_names_.size(), false);
@@ -232,7 +228,6 @@ std::string CompiledQuery::ExplainPlan(const Database& db) const {
         probe_columns.push_back(static_cast<int>(i));
       }
     }
-    const Relation* rel = db.Find(atom.predicate);
     out += "  " + std::to_string(step + 1) + ". " + atom.predicate;
     if (probe_columns.size() == 1) {
       out += " [probe col " + std::to_string(probe_columns[0]) + "]";
@@ -247,7 +242,9 @@ std::string CompiledQuery::ExplainPlan(const Database& db) const {
       out += " [scan]";
     }
     out += " rows=" +
-           std::to_string(rel != nullptr ? rel->size() : 0) + "\n";
+           std::to_string(
+               scratch_.atom_views[static_cast<size_t>(order[step])].size()) +
+           "\n";
     for (const Slot& slot : atom.slots) {
       if (slot.is_var) var_seen[static_cast<size_t>(slot.var)] = true;
     }
@@ -255,7 +252,7 @@ std::string CompiledQuery::ExplainPlan(const Database& db) const {
   return out;
 }
 
-void CompiledQuery::Run(const Database& db, int forced_first,
+void CompiledQuery::Run(const RelationSource& db, int forced_first,
                         const std::vector<Tuple>* forced_rows,
                         std::vector<Tuple>& out) const {
   ResolveAtoms(db);
@@ -355,8 +352,8 @@ void CompiledQuery::Join(const std::vector<int>& order, size_t depth,
     for (const Tuple& t : *forced_rows) consider(t);
     return;
   }
-  const Relation* rel = s.atom_rels[static_cast<size_t>(atom_index)];
-  if (rel == nullptr) return;  // relation absent -> no matches
+  const RelationView& view = s.atom_views[static_cast<size_t>(atom_index)];
+  if (!view.exists()) return;  // relation absent -> no matches
 
   std::vector<int>& probe_columns =
       s.probe_columns[static_cast<size_t>(depth)];
@@ -375,15 +372,11 @@ void CompiledQuery::Join(const std::vector<int>& order, size_t depth,
   }
 
   if (probe_columns.size() == 1) {
-    for (uint32_t row : rel->Probe(probe_columns[0], probe_keys[0])) {
-      consider(rel->rows()[row]);
-    }
+    view.Probe(probe_columns[0], probe_keys[0], consider);
   } else if (probe_columns.size() > 1) {
-    for (uint32_t row : rel->ProbeComposite(probe_columns, probe_keys)) {
-      consider(rel->rows()[row]);
-    }
+    view.ProbeComposite(probe_columns, probe_keys, consider);
   } else {
-    for (const Tuple& t : rel->rows()) consider(t);
+    view.Scan(consider);
   }
 }
 

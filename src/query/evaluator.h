@@ -1,4 +1,9 @@
-// Conjunctive-query evaluation over a Database.
+// Conjunctive-query evaluation over a RelationSource (relation/database.h).
+//
+// Every body atom is read through one RelationView: rows [0, end) of a
+// relation plus an optional layer. A Database serves whole relations with
+// no layer; a query Overlay serves a row-count snapshot of the store plus
+// the rows fetched for the query. One join loop serves both.
 //
 // A CompiledQuery is the analyzed/planned form of a ConjunctiveQuery body:
 // variables are numbered, subgoals are reordered greedily (bound-variable
@@ -7,7 +12,7 @@
 // variables are bound.
 //
 // Two evaluation modes:
-//   * Evaluate        — over the full database;
+//   * Evaluate        — over every row the source serves;
 //   * EvaluateDelta   — semi-naive: only derivations using at least one
 //     tuple of a delta batch for some occurrence of the updated relation
 //     (the "substituting R by T'" step of the paper's section 3,
@@ -64,13 +69,13 @@ class CompiledQuery {
                                        std::vector<std::string> output_vars);
 
   // Frontier tuples of the body over `db`, deduplicated.
-  std::vector<Tuple> Evaluate(const Database& db) const;
+  std::vector<Tuple> Evaluate(const RelationSource& db) const;
 
   // Frontier tuples of derivations that use at least one tuple of `delta`
   // in place of some body occurrence of `delta_relation`. `db` must already
   // contain the delta tuples (the caller inserts first, then runs deltas),
   // so non-delta occurrences see the *new* state.
-  std::vector<Tuple> EvaluateDelta(const Database& db,
+  std::vector<Tuple> EvaluateDelta(const RelationSource& db,
                                    const std::string& delta_relation,
                                    const std::vector<Tuple>& delta) const;
 
@@ -82,7 +87,7 @@ class CompiledQuery {
   // Human-readable execution plan against `db`: the greedy subgoal order
   // the evaluator will use, with the access path (index probe vs scan)
   // and current cardinality of each subgoal. Diagnostic only.
-  std::string ExplainPlan(const Database& db) const;
+  std::string ExplainPlan(const RelationSource& db) const;
 
  private:
   // One body slot: a variable (by dense id) or a constant.
@@ -112,18 +117,18 @@ class CompiledQuery {
     std::vector<std::vector<Value>> probe_keys;
     std::vector<std::vector<int>> newly_bound;
     std::vector<int> fallback_order;
-    // Body atom -> relation, resolved once per Run; Join levels run once
-    // per candidate binding of their parent and must not repeat the
-    // name lookup.
-    std::vector<const Relation*> atom_rels;
+    // Body atom -> view, resolved once per Run; Join levels run once per
+    // candidate binding of their parent and must not repeat the name
+    // lookup.
+    std::vector<RelationView> atom_views;
   };
 
   // Greedy subgoal ordering shared by Run and ExplainPlan. Reads relation
-  // sizes through scratch_.atom_rels (see ResolveAtoms).
+  // sizes through scratch_.atom_views (see ResolveAtoms).
   std::vector<int> ComputeOrder(int forced_first) const;
 
-  // Resolves every body atom's relation into scratch_.atom_rels.
-  void ResolveAtoms(const Database& db) const;
+  // Resolves every body atom's view into scratch_.atom_views.
+  void ResolveAtoms(const RelationSource& db) const;
 
   // Empties scratch_.seen when an evaluation returns, so no frontier
   // outlives the call that produced it.
@@ -137,7 +142,7 @@ class CompiledQuery {
   // Join driver. `forced_first`: index into atoms_ evaluated first against
   // `forced_rows` instead of the database (delta mode); -1 for none.
   // Frontier tuples are appended to `out` after passing scratch_.seen.
-  void Run(const Database& db, int forced_first,
+  void Run(const RelationSource& db, int forced_first,
            const std::vector<Tuple>* forced_rows,
            std::vector<Tuple>& out) const;
 

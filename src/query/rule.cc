@@ -85,20 +85,20 @@ Status CoordinationRule::Compile(const DatabaseSchema& exporter_schema,
 }
 
 std::vector<Tuple> CoordinationRule::EvaluateFrontier(
-    const Database& exporter_db) const {
+    const RelationSource& exporter_db) const {
   assert(compiled_ && "Compile() must succeed before evaluation");
   return compiled_->body.Evaluate(exporter_db);
 }
 
 std::vector<Tuple> CoordinationRule::EvaluateFrontierDelta(
-    const Database& exporter_db, const std::string& delta_relation,
+    const RelationSource& exporter_db, const std::string& delta_relation,
     const std::vector<Tuple>& delta) const {
   assert(compiled_ && "Compile() must succeed before evaluation");
   return compiled_->body.EvaluateDelta(exporter_db, delta_relation, delta);
 }
 
 std::vector<Tuple> CoordinationRule::EvaluateFrontierDeltas(
-    const Database& exporter_db,
+    const RelationSource& exporter_db,
     const std::map<std::string, std::vector<Tuple>>& deltas,
     uint64_t* rows_read) const {
   assert(compiled_ && "Compile() must succeed before evaluation");

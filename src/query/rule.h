@@ -10,7 +10,7 @@
 //
 // Execution is split into two halves so dedup can happen in between:
 //
-//   frontier  = EvaluateFrontier(exporter db)      // distinguished bindings
+//   frontier  = EvaluateFrontier(exporter view)    // distinguished bindings
 //   fresh     = frontier \ sent_set                // caller-side dedup
 //   tuples    = InstantiateHead(fresh, minter)     // nulls minted here
 //
@@ -87,20 +87,21 @@ class CoordinationRule {
                  const DatabaseSchema& importer_schema);
   bool compiled() const { return compiled_.has_value(); }
 
-  // Distinguished-variable bindings of the body over the exporter db.
-  std::vector<Tuple> EvaluateFrontier(const Database& exporter_db) const;
+  // Distinguished-variable bindings of the body over the exporter's store
+  // (a Database, or a query's Overlay of it).
+  std::vector<Tuple> EvaluateFrontier(const RelationSource& exporter_db) const;
 
   // Same, restricted to derivations using `delta` for some occurrence of
   // `delta_relation` (see CompiledQuery::EvaluateDelta).
   std::vector<Tuple> EvaluateFrontierDelta(
-      const Database& exporter_db, const std::string& delta_relation,
+      const RelationSource& exporter_db, const std::string& delta_relation,
       const std::vector<Tuple>& delta) const;
 
   // The semi-naive step for a batch of per-relation deltas: the union of
   // EvaluateFrontierDelta over every non-empty delta relation the body
   // reads, in relation order. Adds the delta rows fed in to `rows_read`.
   std::vector<Tuple> EvaluateFrontierDeltas(
-      const Database& exporter_db,
+      const RelationSource& exporter_db,
       const std::map<std::string, std::vector<Tuple>>& deltas,
       uint64_t* rows_read = nullptr) const;
 

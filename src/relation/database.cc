@@ -7,7 +7,7 @@ Status Database::CreateRelation(RelationSchema schema) {
   if (relations_.find(name) != relations_.end()) {
     return Status::AlreadyExists("relation '" + name + "' already exists");
   }
-  auto relation = std::make_unique<Relation>(std::move(schema));
+  auto relation = std::make_shared<Relation>(std::move(schema));
   relations_.emplace(std::move(name), std::move(relation));
   return Status::Ok();
 }
@@ -28,6 +28,29 @@ Result<Relation*> Database::Get(const std::string& name) {
     return Status::NotFound("relation '" + name + "' does not exist");
   }
   return r;
+}
+
+RelationView Database::View(const std::string& name) const {
+  return RelationView(Find(name));
+}
+
+std::shared_ptr<const Relation> Database::Share(
+    const std::string& name) const {
+  auto it = relations_.find(name);
+  return it == relations_.end() ? nullptr : it->second;
+}
+
+Status Database::Replace(const std::string& name,
+                         const std::vector<Tuple>& rows) {
+  auto it = relations_.find(name);
+  if (it == relations_.end()) {
+    return Status::NotFound("relation '" + name + "' does not exist");
+  }
+  auto fresh = std::make_shared<Relation>(it->second->schema());
+  fresh->Reserve(rows.size());
+  for (const Tuple& tuple : rows) fresh->Insert(tuple);
+  it->second = std::move(fresh);
+  return Status::Ok();
 }
 
 std::vector<std::string> Database::RelationNames() const {
@@ -55,7 +78,8 @@ size_t Database::TotalTuples() const {
 std::map<std::string, std::vector<Tuple>> Database::Snapshot() const {
   std::map<std::string, std::vector<Tuple>> snapshot;
   for (const auto& [name, relation] : relations_) {
-    snapshot[name] = relation->rows();
+    const RowStore& rows = relation->rows();
+    snapshot[name].assign(rows.begin(), rows.end());
   }
   return snapshot;
 }
@@ -63,12 +87,7 @@ std::map<std::string, std::vector<Tuple>> Database::Snapshot() const {
 Status Database::Restore(
     const std::map<std::string, std::vector<Tuple>>& snapshot) {
   for (const auto& [name, rows] : snapshot) {
-    Relation* r = Find(name);
-    if (r == nullptr) {
-      return Status::NotFound("restore: relation '" + name + "' missing");
-    }
-    r->Clear();
-    for (const Tuple& t : rows) r->Insert(t);
+    CODB_RETURN_IF_ERROR(Replace(name, rows));
   }
   return Status::Ok();
 }
@@ -80,6 +99,40 @@ std::string Database::ToString() const {
     out += "\n";
   }
   return out;
+}
+
+Overlay::Overlay(const Database& store) {
+  for (const std::string& name : store.RelationNames()) {
+    std::shared_ptr<const Relation> base = store.Share(name);
+    size_t end = base->size();
+    parts_.emplace(name, Part{std::move(base), end, nullptr});
+  }
+}
+
+Result<bool> Overlay::Insert(const std::string& relation,
+                             const Tuple& tuple) {
+  auto it = parts_.find(relation);
+  if (it == parts_.end()) {
+    return Status::NotFound("relation '" + relation + "' does not exist");
+  }
+  Part& part = it->second;
+  // A row the store appended after opening lies past `end`: not part of
+  // the snapshot, so it joins the layer like any fetched row.
+  uint32_t row = part.base->RowOf(tuple);
+  if (row != Relation::kNoRow && row < part.end) return false;
+  if (part.layer == nullptr) {
+    part.layer = std::make_unique<Relation>(part.base->schema());
+  }
+  if (!part.layer->Insert(tuple)) return false;
+  ++layer_rows_;
+  return true;
+}
+
+RelationView Overlay::View(const std::string& name) const {
+  auto it = parts_.find(name);
+  if (it == parts_.end()) return RelationView();
+  const Part& part = it->second;
+  return RelationView(part.base.get(), part.end, part.layer.get());
 }
 
 }  // namespace codb

@@ -62,8 +62,9 @@ std::string FormatRelation(const Relation& relation) {
   for (const Attribute& a : relation.schema().attributes()) {
     header.push_back(a.name);
   }
+  const RowStore& rows = relation.rows();
   return relation.schema().name() + "\n" +
-         FormatTable(header, relation.rows());
+         FormatTable(header, std::vector<Tuple>(rows.begin(), rows.end()));
 }
 
 }  // namespace codb

@@ -34,10 +34,7 @@ std::vector<Tuple> Relation::InsertNew(const std::vector<Tuple>& batch) {
 void Relation::Reserve(size_t n) {
   // Grow at least geometrically: repeated calls with slightly larger `n`
   // (one per incoming batch) must not degrade the containers' amortized
-  // doubling into a full realloc/rehash per call.
-  if (n > rows_.capacity()) {
-    rows_.reserve(std::max(n, rows_.capacity() * 2));
-  }
+  // doubling into a full rehash per call.
   size_t ceiling = static_cast<size_t>(
       static_cast<float>(index_.bucket_count()) * index_.max_load_factor());
   if (n > ceiling) index_.reserve(std::max(n, ceiling * 2));
@@ -59,13 +56,6 @@ std::vector<Tuple> Relation::Difference(
     if (!Contains(t)) out.push_back(t);
   }
   return out;
-}
-
-void Relation::Clear() {
-  rows_.clear();
-  index_.clear();
-  column_indexes_.clear();
-  composite_indexes_.clear();
 }
 
 void Relation::AppendToIndexes(const Tuple& tuple, uint32_t row) const {

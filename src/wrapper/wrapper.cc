@@ -101,18 +101,19 @@ std::map<std::string, std::vector<Tuple>> Wrapper::TakePendingDelta() {
 
 void Wrapper::DropImported() {
   for (auto& [relation_name, provenance] : imported_) {
-    Relation* relation = storage_->Find(relation_name);
+    const Relation* relation = storage_->Find(relation_name);
     if (relation == nullptr || provenance.empty()) continue;
     std::vector<Tuple> kept;
     kept.reserve(relation->size());
-    const std::vector<Tuple>& rows = relation->rows();
+    const RowStore& rows = relation->rows();
     for (size_t row = 0; row < rows.size(); ++row) {
       if (row >= provenance.size() || provenance[row] == 0) {
         kept.push_back(rows[row]);
       }
     }
-    relation->Clear();
-    for (const Tuple& tuple : kept) relation->Insert(tuple);
+    // A fresh relation, not an in-place shrink: a query snapshot sharing
+    // the old one keeps its pre-refresh rows.
+    storage_->Replace(relation_name, kept);
   }
   imported_.clear();
 }

@@ -74,7 +74,9 @@ class Wrapper {
   // Removes every tuple previously recorded as imported, keeping local
   // (seeded/user-inserted) data. A refresh update calls this before the
   // initial link evaluation, so source-side deletions propagate: data no
-  // longer derivable simply never comes back.
+  // longer derivable simply never comes back. Each shrunk relation is
+  // rebuilt and swapped in (Database::Replace); open query snapshots keep
+  // the old one.
   void DropImported();
 
   // Evaluates a query whose body refers to this node's exported schema.
@@ -105,8 +107,8 @@ class Wrapper {
   // Local inserts not yet shipped by an incremental update, per relation.
   std::map<std::string, std::vector<Tuple>> pending_delta_;
   // Import provenance: per relation, a flag per row position marking the
-  // tuples that arrived over the network (rows only grow between
-  // DropImported calls, so positions are stable).
+  // tuples that arrived over the network (a relation only grows until
+  // DropImported replaces it, so positions are stable).
   std::map<std::string, std::vector<char>> imported_;
   DbsRepository dbs_;
 };

@@ -192,6 +192,86 @@ TEST(ConcurrentFlowsTest, RacingFlowsSurviveAnUnreliableNetwork) {
   ExpectNoLeakedFlows(bed);
 }
 
+TEST(ConcurrentFlowsTest, QueriesRacingARefreshReadPreOrPostRows) {
+  // Queries race a refresh that follows a deletion and an insertion at the
+  // chain's far end. The refresh swaps every importer's relation out
+  // (Database::Replace) while query snapshots still read the old ones.
+  // With copy rules every row a query can meet is a row some store held
+  // before or after the refresh, so a racing query answers within
+  //
+  //     answers(n)  ⊆  S_pre(n) ∪ S_post(n)
+  //
+  // and, as for updates, completes exactly once and leaks no state.
+  WorkloadOptions options;
+  options.nodes = 5;
+  options.tuples_per_node = 6;
+  GeneratedNetwork generated = MakeChain(options);
+
+  Result<std::unique_ptr<Testbed>> testbed =
+      Testbed::Create(generated, ConcurrentOptions());
+  ASSERT_TRUE(testbed.ok()) << testbed.status().ToString();
+  Testbed& bed = *testbed.value();
+  Result<FlowId> materialize = bed.RunGlobalUpdate("n0");
+  ASSERT_TRUE(materialize.ok()) << materialize.status().ToString();
+
+  // The far end deletes one of its rows and gains a new one.
+  Database& far = bed.node("n4")->database();
+  const Tuple victim = generated.seeds.at("n4").at("d")[0];
+  std::vector<Tuple> kept;
+  for (const Tuple& row : far.Find("d")->rows()) {
+    if (!(row == victim)) kept.push_back(row);
+  }
+  kept.push_back(Tuple{Value::Int(424242), Value::Int(1)});
+  ASSERT_TRUE(far.Replace("d", kept).ok());
+
+  const ConjunctiveQuery kQuery = Q("q(K, V) :- d(K, V).");
+  const std::vector<std::string> kQueryNodes = {"n0", "n1", "n2", "n3"};
+  std::vector<std::vector<Tuple>> pre;
+  for (const std::string& name : kQueryNodes) {
+    Result<std::vector<Tuple>> rows = bed.node(name)->LocalQuery(kQuery);
+    ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+    pre.push_back(std::move(rows).value());
+  }
+
+  Result<FlowId> refresh = bed.node("n0")->StartGlobalRefresh();
+  ASSERT_TRUE(refresh.ok()) << refresh.status().ToString();
+  std::vector<std::atomic<int>> done_counts(kQueryNodes.size());
+  std::vector<FlowId> queries;
+  for (size_t i = 0; i < kQueryNodes.size(); ++i) {
+    std::atomic<int>* done = &done_counts[i];
+    Result<FlowId> query = bed.node(kQueryNodes[i])->StartQuery(
+        kQuery, [done](const QueryManager::QueryProgress& progress) {
+          if (progress.done) done->fetch_add(1);
+        });
+    ASSERT_TRUE(query.ok()) << query.status().ToString();
+    queries.push_back(query.value());
+  }
+
+  bed.network().Run();
+
+  EXPECT_TRUE(bed.AllComplete(refresh.value()));
+  for (size_t i = 0; i < kQueryNodes.size(); ++i) {
+    Node* node = bed.node(kQueryNodes[i]);
+    SCOPED_TRACE("query node " + kQueryNodes[i]);
+    EXPECT_TRUE(node->QueryDone(queries[i]));
+    EXPECT_EQ(done_counts[i].load(), 1);
+
+    Result<std::vector<Tuple>> racing = node->QueryAnswers(queries[i]);
+    ASSERT_TRUE(racing.ok()) << racing.status().ToString();
+    Result<std::vector<Tuple>> post = node->LocalQuery(kQuery);
+    ASSERT_TRUE(post.ok()) << post.status().ToString();
+    EXPECT_FALSE(node->database().Find("d")->Contains(victim));
+
+    std::vector<Tuple> either = pre[i];
+    either.insert(either.end(), post.value().begin(), post.value().end());
+    EXPECT_TRUE(IsSubset(Sorted(std::move(racing).value()),
+                         Sorted(std::move(either))))
+        << "racing query answered with a row no store held";
+  }
+
+  ExpectNoLeakedFlows(bed);
+}
+
 TEST(ConcurrentFlowsTest, BackToBackUpdatesStayExactlyOnce) {
   // Two sequential updates on the threaded runtime: the second flow must
   // not resurrect or double-complete the first.

@@ -135,13 +135,12 @@ TEST(ConsistencyTest, RepairRestoresExports) {
   ASSERT_EQ(bed.node("a")->database().Find("d")->size(), 1u);
 
   // Repair b: drop the offending tuple (keep the relation a set again).
-  Relation* b_d = bed.node("b")->database().Find("d");
+  Database& b_db = bed.node("b")->database();
   std::vector<Tuple> kept;
-  for (const Tuple& t : b_d->rows()) {
+  for (const Tuple& t : b_db.Find("d")->rows()) {
     if (!(t == Tuple{Value::Int(2), Value::Int(99)})) kept.push_back(t);
   }
-  b_d->Clear();
-  for (const Tuple& t : kept) b_d->Insert(t);
+  ASSERT_TRUE(b_db.Replace("d", kept).ok());
   EXPECT_TRUE(bed.node("b")->ConsistencyViolations().empty());
 
   // A fresh update now migrates b's (and c's relayed) data.

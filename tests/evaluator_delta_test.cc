@@ -2,15 +2,21 @@
 // update fixpoint actually produces: rule bodies mentioning the delta
 // relation in two or more atoms (the per-occurrence union path of
 // CompiledQuery::EvaluateDelta) and joins whose keys are marked nulls.
+// Also the differential check of RelationView: a query overlay (a store
+// prefix plus a layer) must evaluate exactly like a Database holding
+// those rows.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <set>
+#include <string>
 
 #include "query/evaluator.h"
 #include "query/parser.h"
 #include "relation/database.h"
+#include "util/random.h"
 
 namespace codb {
 namespace {
@@ -229,6 +235,106 @@ TEST_F(EvaluatorDeltaTest, DeltaForUnreferencedRelationIsEmpty) {
   std::vector<Tuple> delta = {Tuple{Value::Int(5), Value::Int(6)}};
   db_.Find("link")->Insert(delta[0]);
   EXPECT_TRUE(q.EvaluateDelta(db_, "link", delta).empty());
+}
+
+// RelationView differential: random relations cut at random points. The
+// store gets a random prefix of each relation's rows, an Overlay opens on
+// it, and the store then keeps growing (rows past the cut, which the
+// overlay must not see, some of them matching later probes). The overlay's
+// layer takes random rows, some already in the prefix (dropped), some past
+// the cut (kept). A Database holding exactly prefix + layer is the
+// reference: scans, single-column probes and composite probes, full and
+// delta, must give it the same frontiers.
+TEST(RelationViewDifferentialTest, OverlayMatchesMaterializedDatabase) {
+  const std::vector<std::pair<std::string, std::vector<std::string>>>
+      kQueries = {
+          {"q(X, Y) :- r(X, Y).", {"X", "Y"}},                 // scan
+          {"q(X, Z) :- r(X, Y), s(Y, Z).", {"X", "Z"}},        // column probe
+          {"q(X, Y) :- r(X, Y), s(X, Y).", {"X", "Y"}},        // composite
+          {"q(Y) :- r(2, Y), s(Y, W), r(W, 3).", {"Y"}},       // constants
+          {"q(X, Z) :- r(X, Y), r(Y, Z), s(Z, X).", {"X", "Z"}},  // self-join
+      };
+  auto schema_of = [](const std::string& name) {
+    return RelationSchema(name, {{"a", ValueType::kInt},
+                                 {"b", ValueType::kInt}});
+  };
+  Rng rng(20260418);
+  for (int trial = 0; trial < 120; ++trial) {
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    Database store;
+    Database reference;
+    for (const char* name : {"r", "s"}) {
+      ASSERT_TRUE(store.CreateRelation(schema_of(name)).ok());
+      ASSERT_TRUE(reference.CreateRelation(schema_of(name)).ok());
+    }
+    const int64_t range = rng.UniformInt(2, 6);
+    auto random_rows = [&](int count) {
+      std::vector<Tuple> rows;
+      for (int i = 0; i < count; ++i) {
+        rows.push_back(Tuple{Value::Int(rng.UniformInt(0, range)),
+                             Value::Int(rng.UniformInt(0, range))});
+      }
+      return rows;
+    };
+    // The prefix; sometimes the store's indexes exist before the cut.
+    std::map<std::string, std::vector<Tuple>> late;
+    for (const char* name : {"r", "s"}) {
+      for (const Tuple& row : random_rows(static_cast<int>(
+               rng.UniformInt(0, 25)))) {
+        store.Find(name)->Insert(row);
+        reference.Find(name)->Insert(row);
+      }
+      if (rng.Chance(0.5)) store.Find(name)->Probe(1, Value::Int(0));
+      if (rng.Chance(0.5)) {
+        store.Find(name)->ProbeComposite({0, 1},
+                                         {Value::Int(0), Value::Int(0)});
+      }
+      late[name] = random_rows(static_cast<int>(rng.UniformInt(0, 15)));
+    }
+    Overlay overlay(store);
+    for (const char* name : {"r", "s"}) {
+      for (const Tuple& row : late[name]) store.Find(name)->Insert(row);
+    }
+
+    // The layer: fresh random rows plus some of the store's late rows.
+    std::map<std::string, std::vector<Tuple>> delta;
+    for (const char* name : {"r", "s"}) {
+      std::vector<Tuple> fetched =
+          random_rows(static_cast<int>(rng.UniformInt(0, 15)));
+      for (const Tuple& row : late[name]) {
+        if (rng.Chance(0.5)) fetched.push_back(row);
+      }
+      for (const Tuple& row : fetched) {
+        Result<bool> added = overlay.Insert(name, row);
+        ASSERT_TRUE(added.ok());
+        EXPECT_EQ(added.value(), reference.Find(name)->Insert(row));
+        if (added.value()) delta[name].push_back(row);
+      }
+    }
+    for (const char* name : {"r", "s"}) {
+      EXPECT_EQ(overlay.View(name).size(), reference.Find(name)->size());
+    }
+
+    for (const auto& [text, output] : kQueries) {
+      SCOPED_TRACE(text);
+      Result<ConjunctiveQuery> parsed = ParseQuery(text);
+      ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+      Result<CompiledQuery> compiled =
+          CompiledQuery::Compile(parsed.value(), reference.Schema(), output);
+      ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
+      const CompiledQuery& q = compiled.value();
+      auto sorted = [](std::vector<Tuple> rows) {
+        std::sort(rows.begin(), rows.end());
+        return rows;
+      };
+      EXPECT_EQ(sorted(q.Evaluate(overlay)), sorted(q.Evaluate(reference)));
+      for (const auto& [relation, rows] : delta) {
+        EXPECT_EQ(sorted(q.EvaluateDelta(overlay, relation, rows)),
+                  sorted(q.EvaluateDelta(reference, relation, rows)))
+            << "delta over " << relation;
+      }
+    }
+  }
 }
 
 }  // namespace

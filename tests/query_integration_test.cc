@@ -1,12 +1,15 @@
 // End-to-end tests of distributed query answering: streaming results,
 // simple-path labels, overlay isolation (query-time fetch does not mutate
-// node databases), and equivalence with querying after a global update.
+// node databases), equivalence with querying after a global update, and
+// the overlay's snapshot semantics (a query reads its nodes' stores as they
+// were at its first touch, layered with what it fetched).
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 
 #include "query/parser.h"
+#include "test_util.h"
 #include "workload/testbed.h"
 #include "workload/topology_gen.h"
 
@@ -17,6 +20,15 @@ ConjunctiveQuery Q(const std::string& text) {
   Result<ConjunctiveQuery> q = ParseQuery(text);
   EXPECT_TRUE(q.ok()) << q.status().ToString();
   return std::move(q).value();
+}
+
+std::vector<Tuple> Sorted(std::vector<Tuple> rows) {
+  std::sort(rows.begin(), rows.end());
+  return rows;
+}
+
+int64_t GaugeOf(Node* node, const std::string& name) {
+  return node->statistics().metrics().GetGauge(name)->value();
 }
 
 TEST(QueryAnsweringTest, FetchesRemoteDataWithoutMutatingStores) {
@@ -181,6 +193,129 @@ TEST(QueryAnsweringTest, LocalQueryNeedsNoNetwork) {
   ASSERT_TRUE(local.ok());
   EXPECT_EQ(local.value().size(), 3u);  // own data only
   EXPECT_EQ(bed.network().stats().total_messages(), messages_before);
+}
+
+TEST(QuerySnapshotTest, MaterializedOriginKeepsAnEmptyLayer) {
+  // After a global update the origin already holds every row the query
+  // fetches: each arriving tuple is found in the snapshot, none is layered.
+  WorkloadOptions options;
+  options.nodes = 4;
+  options.tuples_per_node = 5;
+  GeneratedNetwork generated = MakeChain(options);
+  Result<std::unique_ptr<Testbed>> testbed = Testbed::Create(generated);
+  ASSERT_TRUE(testbed.ok()) << testbed.status().ToString();
+  Testbed& bed = *testbed.value();
+  ASSERT_TRUE(bed.RunGlobalUpdate("n0").ok());
+
+  Node* n0 = bed.node("n0");
+  const ConjunctiveQuery kQuery = Q("q(K, V) :- d(K, V).");
+  Result<FlowId> query = n0->StartQuery(kQuery);
+  ASSERT_TRUE(query.ok()) << query.status().ToString();
+  EXPECT_EQ(GaugeOf(n0, "query.states"), 1);
+  bed.network().Run();
+  ASSERT_TRUE(n0->QueryDone(query.value()));
+
+  EXPECT_GT(n0->statistics().metrics().GetCounter("query.results_in")->value(),
+            0u);
+  EXPECT_EQ(GaugeOf(n0, "query.layer_rows"), 0);
+  Result<std::vector<Tuple>> answers = n0->QueryAnswers(query.value());
+  Result<std::vector<Tuple>> local = n0->LocalQuery(kQuery);
+  ASSERT_TRUE(answers.ok());
+  ASSERT_TRUE(local.ok());
+  EXPECT_EQ(Sorted(answers.value()), Sorted(local.value()));
+  EXPECT_EQ(answers.value().size(), 20u);
+  // Serving peers dropped their states with the done-flood; the origin
+  // keeps its owned one.
+  EXPECT_EQ(GaugeOf(bed.node("n1"), "query.states"), 0);
+  EXPECT_EQ(GaugeOf(n0, "query.states"), 1);
+}
+
+TEST(QuerySnapshotTest, ColdQueryLayersWhatItFetched) {
+  WorkloadOptions options;
+  options.nodes = 3;
+  options.tuples_per_node = 4;
+  GeneratedNetwork generated = MakeChain(options);
+  Result<std::unique_ptr<Testbed>> testbed = Testbed::Create(generated);
+  ASSERT_TRUE(testbed.ok()) << testbed.status().ToString();
+  Testbed& bed = *testbed.value();
+
+  Node* n0 = bed.node("n0");
+  Result<FlowId> query = n0->StartQuery(Q("q(K, V) :- d(K, V)."));
+  ASSERT_TRUE(query.ok()) << query.status().ToString();
+  bed.network().Run();
+  // n1's and n2's rows, fetched into n0's layer: nothing in n0's store.
+  EXPECT_EQ(GaugeOf(n0, "query.layer_rows"), 8);
+  EXPECT_EQ(n0->database().Find("d")->size(), 4u);
+  EXPECT_EQ(GaugeOf(bed.node("n1"), "query.layer_rows"), 0);
+}
+
+TEST(QuerySnapshotTest, RowsInsertedAfterStartAreNotAnswered) {
+  WorkloadOptions options;
+  options.nodes = 3;
+  options.tuples_per_node = 4;
+  GeneratedNetwork generated = MakeChain(options);
+  Result<std::unique_ptr<Testbed>> testbed = Testbed::Create(generated);
+  ASSERT_TRUE(testbed.ok()) << testbed.status().ToString();
+  Testbed& bed = *testbed.value();
+
+  Node* n0 = bed.node("n0");
+  const ConjunctiveQuery kQuery = Q("q(K, V) :- d(K, V).");
+  Result<FlowId> query = n0->StartQuery(kQuery);
+  ASSERT_TRUE(query.ok()) << query.status().ToString();
+  const Tuple late{Value::Int(987654), Value::Int(1)};
+  ASSERT_TRUE(n0->InsertLocal("d", {late}).ok());
+  bed.network().Run();
+
+  Result<std::vector<Tuple>> answers = n0->QueryAnswers(query.value());
+  ASSERT_TRUE(answers.ok());
+  EXPECT_EQ(answers.value().size(), 12u);
+  EXPECT_EQ(std::count(answers.value().begin(), answers.value().end(), late),
+            0);
+  // The store has the row; a query started now answers it.
+  EXPECT_TRUE(n0->database().Find("d")->Contains(late));
+  Result<FlowId> next = n0->StartQuery(kQuery);
+  ASSERT_TRUE(next.ok());
+  bed.network().Run();
+  Result<std::vector<Tuple>> next_answers = n0->QueryAnswers(next.value());
+  ASSERT_TRUE(next_answers.ok());
+  EXPECT_EQ(next_answers.value().size(), 13u);
+}
+
+TEST(QuerySnapshotTest, QueryOpenedBeforeARefreshKeepsItsRows) {
+  // n0 holds n1's and n2's rows after an update. n2 deletes one at its
+  // source; a refresh then drops it everywhere, replacing n0's relation.
+  // A query opened at n0 before that refresh still answers from the rows
+  // n0 held when it opened, the deleted one included.
+  WorkloadOptions options;
+  options.nodes = 3;
+  options.tuples_per_node = 4;
+  GeneratedNetwork generated = MakeChain(options);
+  Result<std::unique_ptr<Testbed>> testbed = Testbed::Create(generated);
+  ASSERT_TRUE(testbed.ok()) << testbed.status().ToString();
+  Testbed& bed = *testbed.value();
+  ASSERT_TRUE(bed.RunGlobalUpdate("n0").ok());
+
+  Node* n0 = bed.node("n0");
+  const ConjunctiveQuery kQuery = Q("q(K, V) :- d(K, V).");
+  Result<std::vector<Tuple>> pre_refresh = n0->LocalQuery(kQuery);
+  ASSERT_TRUE(pre_refresh.ok());
+  ASSERT_EQ(pre_refresh.value().size(), 12u);
+  const Tuple victim = generated.seeds.at("n2").at("d")[0];
+  test::DeleteTuple(bed.node("n2")->database(), "d", victim);
+
+  Result<FlowId> query = n0->StartQuery(kQuery);
+  ASSERT_TRUE(query.ok()) << query.status().ToString();
+  Result<FlowId> refresh = n0->StartGlobalRefresh();
+  ASSERT_TRUE(refresh.ok()) << refresh.status().ToString();
+  bed.network().Run();
+  ASSERT_TRUE(bed.AllComplete(refresh.value()));
+  ASSERT_TRUE(n0->QueryDone(query.value()));
+
+  EXPECT_FALSE(n0->database().Find("d")->Contains(victim));
+  EXPECT_EQ(n0->database().Find("d")->size(), 11u);
+  Result<std::vector<Tuple>> answers = n0->QueryAnswers(query.value());
+  ASSERT_TRUE(answers.ok());
+  EXPECT_EQ(Sorted(answers.value()), Sorted(pre_refresh.value()));
 }
 
 TEST(QueryAnsweringTest, RejectsMalformedQueries) {

@@ -138,7 +138,7 @@ TEST(RecoveryIntegrationTest, RefreshPlusCheckpointMakesDeletionDurable) {
   ASSERT_TRUE(revived.ok()) << revived.status().ToString();
 
   Tuple victim = generated.seeds.at("n2").at("d")[0];
-  test::DeleteTuple(bed.node("n2")->database().Find("d"), victim);
+  test::DeleteTuple(bed.node("n2")->database(), "d", victim);
   Result<FlowId> refresh = bed.node("n1")->StartGlobalRefresh();
   ASSERT_TRUE(refresh.ok()) << refresh.status().ToString();
   bed.network().Run();

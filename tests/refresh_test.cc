@@ -28,7 +28,7 @@ TEST(RefreshTest, SourceDeletionPropagatesOnRefresh) {
 
   // Delete one of n3's tuples at the source.
   Tuple victim = generated.seeds.at("n3").at("d")[0];
-  DeleteTuple(bed.node("n3")->database().Find("d"), victim);
+  DeleteTuple(bed.node("n3")->database(), "d", victim);
 
   // A plain update cannot remove it downstream...
   ASSERT_TRUE(bed.RunGlobalUpdate("n0").ok());
@@ -61,7 +61,7 @@ TEST(RefreshTest, RefreshMatchesOracleOnCurrentLocalData) {
 
   // Mutate the sources: delete one tuple at n1, add one at n2.
   Tuple victim = generated.seeds.at("n1").at("d")[0];
-  DeleteTuple(bed.node("n1")->database().Find("d"), victim);
+  DeleteTuple(bed.node("n1")->database(), "d", victim);
   Tuple added{Value::Int(123456), Value::Int(7)};
   bed.node("n2")->database().Find("d")->Insert(added);
 

@@ -76,9 +76,9 @@ TEST(RelationTest, ProbeIndexMaintainedAcrossInserts) {
 
 TEST(RelationTest, ProbeBucketsSurviveRowStorageGrowth) {
   // Regression test for the dangling-pointer hazard of tuple-pointer
-  // buckets: hold a bucket reference, then insert enough rows to force the
-  // backing vector to reallocate several times, and dereference the bucket
-  // through stable row positions. Exercised under ASan in CI.
+  // buckets: hold a bucket reference, then insert enough rows to grow row
+  // storage across several segments, and dereference the bucket through
+  // stable row positions. Exercised under ASan in CI.
   Relation r(TwoIntSchema("r"));
   r.Insert(Tuple{Value::Int(0), Value::Int(-1)});
   const auto& bucket = r.Probe(0, Value::Int(0));
@@ -127,17 +127,168 @@ TEST(RelationTest, ProbeCompositeMaintainedAcrossInserts) {
   EXPECT_EQ(r.Probe(1, Value::Int(2)).size(), 2u);
 }
 
-TEST(RelationTest, ClearResetsEverything) {
+TEST(RelationTest, RowOfFindsPositions) {
   Relation r(TwoIntSchema("r"));
   r.Insert(Tuple{Value::Int(1), Value::Int(1)});
-  r.Probe(0, Value::Int(1));
-  r.ProbeComposite({0, 1}, {Value::Int(1), Value::Int(1)});
-  r.Clear();
-  EXPECT_EQ(r.size(), 0u);
-  EXPECT_TRUE(r.Probe(0, Value::Int(1)).empty());
+  r.Insert(Tuple{Value::Int(2), Value::Int(2)});
+  EXPECT_EQ(r.RowOf(Tuple{Value::Int(1), Value::Int(1)}), 0u);
+  EXPECT_EQ(r.RowOf(Tuple{Value::Int(2), Value::Int(2)}), 1u);
+  EXPECT_EQ(r.RowOf(Tuple{Value::Int(3), Value::Int(3)}), Relation::kNoRow);
+}
+
+TEST(RowStoreTest, GrowthMovesNoRow) {
+  // Rows 15/16 and 47/48 straddle the first segment boundaries; 3000 rows
+  // reach segment 7 (rows 2032..4079).
+  RowStore store;
+  std::vector<const Tuple*> held;
+  for (int i = 0; i < 3000; ++i) {
+    store.push_back(Tuple{Value::Int(i), Value::Int(-i)});
+    if (i == 0 || i == 15 || i == 16 || i == 47 || i == 48 || i == 1000) {
+      held.push_back(&store[static_cast<size_t>(i)]);
+    }
+  }
+  ASSERT_EQ(store.size(), 3000u);
+  EXPECT_EQ(held[0], &store[0]);
+  EXPECT_EQ(held[1], &store[15]);
+  EXPECT_EQ(held[2], &store[16]);
+  EXPECT_EQ(held[3], &store[47]);
+  EXPECT_EQ(held[4], &store[48]);
+  EXPECT_EQ(held[5], &store[1000]);
+  EXPECT_EQ(*held[5], (Tuple{Value::Int(1000), Value::Int(-1000)}));
+  int expected = 0;
+  for (const Tuple& row : store) {
+    EXPECT_EQ(row.at(0), Value::Int(expected));
+    ++expected;
+  }
+  EXPECT_EQ(expected, 3000);
+  EXPECT_EQ(store.back(), (Tuple{Value::Int(2999), Value::Int(-2999)}));
+}
+
+TEST(RowStoreTest, ForEachVisitsThePrefixInOrder) {
+  RowStore store;
+  for (int i = 0; i < 100; ++i) store.push_back(Tuple{Value::Int(i)});
+  for (size_t end : {size_t{0}, size_t{1}, size_t{16}, size_t{17},
+                     size_t{48}, size_t{100}}) {
+    std::vector<int64_t> seen;
+    store.ForEach(end, [&](const Tuple& row) {
+      seen.push_back(row.at(0).AsInt());
+    });
+    ASSERT_EQ(seen.size(), end);
+    for (size_t i = 0; i < end; ++i) {
+      EXPECT_EQ(seen[i], static_cast<int64_t>(i));
+    }
+  }
+}
+
+TEST(RowStoreTest, ForEachListedStopsAtTheEnd) {
+  RowStore store;
+  for (int i = 0; i < 200; ++i) store.push_back(Tuple{Value::Int(i)});
+  // Positions on both sides of the segment boundaries at 16, 48 and 112.
+  const std::vector<uint32_t> positions = {0, 15, 16, 47, 48, 111, 112,
+                                           150, 199};
+  for (size_t end : {size_t{0}, size_t{16}, size_t{49}, size_t{151},
+                     size_t{200}}) {
+    std::vector<int64_t> seen;
+    store.ForEachListed(positions, end, [&](const Tuple& row) {
+      seen.push_back(row.at(0).AsInt());
+    });
+    std::vector<int64_t> expected;
+    for (uint32_t row : positions) {
+      if (row < end) expected.push_back(row);
+    }
+    EXPECT_EQ(seen, expected) << "end " << end;
+  }
+}
+
+TEST(RowStoreTest, PopBackThenPushReusesTheSlot) {
+  // Wider than Tuple::kInlineCapacity, so every row owns heap memory: ASan
+  // sees a leak or double free if pop_back or the destructor miscounts.
+  auto wide = [](int64_t key) {
+    return Tuple{Value::Int(key), Value::Int(1), Value::Int(2),
+                 Value::Int(3), Value::Int(4), Value::Int(5)};
+  };
+  RowStore store;
+  for (int i = 0; i < 49; ++i) store.push_back(wide(i));
+  store.pop_back();  // row 48, alone in its segment
+  store.pop_back();
+  ASSERT_EQ(store.size(), 47u);
+  EXPECT_EQ(store.back(), wide(46));
+  store.push_back(wide(100));
+  store.push_back(wide(101));
+  ASSERT_EQ(store.size(), 49u);
+  EXPECT_EQ(store[47], wide(100));
+  EXPECT_EQ(store[48], wide(101));
+}
+
+TEST(DatabaseTest, ReplaceLeavesHoldersTheOldRows) {
+  Database db;
+  ASSERT_TRUE(db.CreateRelation(TwoIntSchema("r")).ok());
+  Relation* r = db.Find("r");
+  r->Insert(Tuple{Value::Int(1), Value::Int(1)});
+  r->Insert(Tuple{Value::Int(1), Value::Int(2)});
+  r->Probe(0, Value::Int(1));
+  r->ProbeComposite({0, 1}, {Value::Int(1), Value::Int(1)});
+  std::shared_ptr<const Relation> held = db.Share("r");
+
+  ASSERT_TRUE(db.Replace("r", {Tuple{Value::Int(1), Value::Int(2)},
+                               Tuple{Value::Int(3), Value::Int(3)}})
+                  .ok());
+  EXPECT_FALSE(db.Replace("missing", {}).ok());
+
+  // The holder of the old relation still reads the old rows and indexes.
+  ASSERT_EQ(held->size(), 2u);
+  EXPECT_TRUE(held->Contains(Tuple{Value::Int(1), Value::Int(1)}));
+  EXPECT_FALSE(held->Contains(Tuple{Value::Int(3), Value::Int(3)}));
+  EXPECT_EQ(held->Probe(0, Value::Int(1)).size(), 2u);
+
+  // The store's new relation holds the new rows, and its indexes are
+  // built afresh on first probe (the old buckets do not carry over).
+  const Relation* fresh = db.Find("r");
+  ASSERT_NE(fresh, held.get());
+  EXPECT_EQ(fresh->size(), 2u);
+  EXPECT_FALSE(fresh->Contains(Tuple{Value::Int(1), Value::Int(1)}));
+  const Relation::RowIndexList& bucket = fresh->Probe(0, Value::Int(1));
+  ASSERT_EQ(bucket.size(), 1u);
+  EXPECT_EQ(fresh->rows()[bucket[0]], (Tuple{Value::Int(1), Value::Int(2)}));
   EXPECT_TRUE(
-      r.ProbeComposite({0, 1}, {Value::Int(1), Value::Int(1)}).empty());
-  EXPECT_TRUE(r.Insert(Tuple{Value::Int(1), Value::Int(1)}));
+      fresh->ProbeComposite({0, 1}, {Value::Int(1), Value::Int(1)}).empty());
+  EXPECT_EQ(
+      fresh->ProbeComposite({0, 1}, {Value::Int(3), Value::Int(3)}).size(),
+      1u);
+}
+
+TEST(OverlayTest, SnapshotPlusLayer) {
+  Database db;
+  ASSERT_TRUE(db.CreateRelation(TwoIntSchema("r")).ok());
+  db.Find("r")->Insert(Tuple{Value::Int(1), Value::Int(1)});
+  Overlay overlay(db);
+
+  // Rows the store gains after opening stay out of the snapshot...
+  const Tuple late{Value::Int(2), Value::Int(2)};
+  db.Find("r")->Insert(late);
+  EXPECT_EQ(overlay.View("r").size(), 1u);
+  // ...so fetching one puts it in the layer; a snapshot row is not new.
+  EXPECT_TRUE(overlay.Insert("r", late).value());
+  EXPECT_FALSE(
+      overlay.Insert("r", Tuple{Value::Int(1), Value::Int(1)}).value());
+  EXPECT_FALSE(overlay.Insert("r", late).value());
+  EXPECT_FALSE(overlay.Insert("missing", Tuple{Value::Int(1)}).ok());
+  EXPECT_EQ(overlay.LayerRows(), 1u);
+  EXPECT_EQ(overlay.View("r").size(), 2u);
+  EXPECT_FALSE(overlay.View("missing").exists());
+
+  // A Replace in the store leaves the overlay reading what it read.
+  ASSERT_TRUE(db.Replace("r", {}).ok());
+  RelationView view = overlay.View("r");
+  std::vector<Tuple> seen;
+  view.Scan([&](const Tuple& t) { seen.push_back(t); });
+  EXPECT_EQ(seen,
+            (std::vector<Tuple>{Tuple{Value::Int(1), Value::Int(1)}, late}));
+  // The old relation holds `late` too, past the snapshot: the probe stops
+  // there and finds it in the layer only, once.
+  seen.clear();
+  view.Probe(0, Value::Int(2), [&](const Tuple& t) { seen.push_back(t); });
+  EXPECT_EQ(seen, (std::vector<Tuple>{late}));
 }
 
 TEST(DatabaseTest, CreateAndLookup) {

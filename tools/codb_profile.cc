@@ -6,15 +6,16 @@
 //     --scenario <substring>, default is the first that has cost data;
 //   * a combined capture ({"codb_bench_set":1, "benches": {...}}) from
 //     bench/compare_bench.py capture;
-//   * a single object with "cost"/"profile"/"metrics" members;
+//   * a single object with "cost"/"profile"/"metrics"/"retained" members;
 //   * a flat metrics object (cost.* / queue.* keys), e.g. a
 //     MetricsSnapshot::ToJson() dump.
 //
 // The text mode prints the per-class byte breakdown (same renderer as the
 // super-peer's final report) followed by the event-loop profile: queue
 // sojourn and handler service time per class, queue-depth watermarks and
-// scheduled-timer lag. --json emits the normalized
-// {"scenario", "cost", "queue"} object instead.
+// scheduled-timer lag, then the retained-state gauges the record carries
+// (query.states, query.layer_rows). --json emits the normalized
+// {"scenario", "cost", "queue", "retained"} object instead.
 //
 // Usage: codb_profile <bench.json|-> [--scenario <substr>] [--json]
 
@@ -38,12 +39,19 @@ bool StartsWith(const std::string& s, const char* prefix) {
   return s.rfind(prefix, 0) == 0;
 }
 
+// Gauges of state a node retains across flows: per-query states and the
+// rows their overlays layered (core/query_manager.h).
+const char* const kRetainedGauges[] = {"query.states", "query.layer_rows"};
+
 // One profile-bearing record extracted from the input: its display name
-// plus the flat cost.* and queue.* entries.
+// plus the flat cost.* and queue.* entries and the retained-state gauges.
+// Only cost and queue data make a record worth profiling; the gauges ride
+// along.
 struct ProfileRecord {
   std::string name;
   std::map<std::string, JsonValue> cost;
   std::map<std::string, JsonValue> queue;
+  std::map<std::string, JsonValue> retained;
 
   bool has_data() const { return !cost.empty() || !queue.empty(); }
 };
@@ -57,6 +65,9 @@ void AbsorbFlat(const JsonValue& object, ProfileRecord* record) {
     } else if (StartsWith(key, "queue.")) {
       record->queue.emplace(key, value);
     }
+    for (const char* gauge : kRetainedGauges) {
+      if (key == gauge) record->retained.emplace(key, value);
+    }
   }
 }
 
@@ -69,6 +80,9 @@ ProfileRecord RecordFromScenario(const JsonValue& scenario) {
   }
   if (const JsonValue* metrics = scenario.Find("metrics")) {
     AbsorbFlat(*metrics, &record);
+  }
+  if (const JsonValue* retained = scenario.Find("retained")) {
+    AbsorbFlat(*retained, &record);
   }
   // A flat scenario (or a raw metrics dump) carries the keys directly.
   AbsorbFlat(scenario, &record);
@@ -167,6 +181,13 @@ void PrintText(const ProfileRecord& record) {
                 depth_fg < 0 ? 0 : depth_fg,
                 depth_maint < 0 ? 0 : depth_maint);
   }
+  if (!record.retained.empty()) {
+    std::printf("  retained state (gauges):\n");
+    for (const auto& [key, value] : record.retained) {
+      std::printf("    %-28s %10.0f\n", key.c_str(),
+                  value.is_number() ? value.AsNumber() : 0.0);
+    }
+  }
   std::printf("\n");
 }
 
@@ -179,6 +200,9 @@ JsonValue ToJsonRecord(const ProfileRecord& record) {
   JsonValue queue = JsonValue::Object();
   for (const auto& [key, value] : record.queue) queue.Set(key, value);
   out.Set("queue", std::move(queue));
+  JsonValue retained = JsonValue::Object();
+  for (const auto& [key, value] : record.retained) retained.Set(key, value);
+  out.Set("retained", std::move(retained));
   return out;
 }
 
