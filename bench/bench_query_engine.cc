@@ -5,8 +5,10 @@
 #include <benchmark/benchmark.h>
 
 #include <cstring>
+#include <memory>
 #include <vector>
 
+#include "core/export_memory.h"
 #include "relation/wire.h"
 #include "query/evaluator.h"
 #include "query/parser.h"
@@ -254,6 +256,68 @@ void BM_RelationInsertNew(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0) * 2);
 }
 BENCHMARK(BM_RelationInsertNew)->Arg(1000)->Arg(10000);
+
+// The insert a global update pays at every hop: fresh rows into a relation
+// whose column-0 index a rule body already probes, so each insert also
+// links the row into that index (BM_RelationInsertNew builds none).
+void BM_RelationInsertIndexed(benchmark::State& state) {
+  std::vector<Tuple> batch;
+  for (int64_t i = 0; i < state.range(0); ++i) {
+    batch.push_back(Tuple{Value::Int(i), Value::Int(i % 100)});
+  }
+  for (auto _ : state) {
+    state.PauseTiming();
+    auto r = std::make_unique<Relation>(RelationSchema(
+        "r", {{"a", ValueType::kInt}, {"b", ValueType::kInt}}));
+    r->Probe(0, Value::Int(0));
+    state.ResumeTiming();
+    for (const Tuple& t : batch) r->Insert(t);
+    benchmark::DoNotOptimize(r->size());
+    state.PauseTiming();
+    r.reset();  // freed off the clock
+    state.ResumeTiming();
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_RelationInsertIndexed)->Arg(10000)->Arg(100000);
+
+// One full flow's shipments through a link's export memory: 100-frontier
+// batches, each new, then the same batches again (every one a within-flow
+// duplicate the memory drops).
+void BM_ExportMemoryAdmit(benchmark::State& state) {
+  std::vector<std::vector<Tuple>> shipments(
+      static_cast<size_t>(state.range(0) / 100));
+  for (int64_t i = 0; i < state.range(0); ++i) {
+    shipments[static_cast<size_t>(i / 100)].push_back(
+        Tuple{Value::Int(i), Value::Int(i % 7)});
+  }
+  size_t kept = 0;
+  const std::string rule = "r1";
+  for (auto _ : state) {
+    state.PauseTiming();
+    auto memory = std::make_unique<ExportMemory>();
+    const uint64_t epoch = memory->NewEpoch();
+    std::vector<std::vector<Tuple>> batches = shipments;
+    std::vector<std::vector<Tuple>> again = shipments;
+    state.ResumeTiming();
+    for (std::vector<Tuple>& frontiers : batches) {
+      memory->Admit(rule, epoch, /*incremental=*/false, frontiers);
+      kept += frontiers.size();
+    }
+    for (std::vector<Tuple>& frontiers : again) {
+      memory->Admit(rule, epoch, /*incremental=*/false, frontiers);
+      kept += frontiers.size();
+    }
+    state.PauseTiming();
+    memory.reset();  // freed off the clock, with the batches
+    batches.clear();
+    again.clear();
+    state.ResumeTiming();
+  }
+  benchmark::DoNotOptimize(kept);
+  state.SetItemsProcessed(state.iterations() * state.range(0) * 2);
+}
+BENCHMARK(BM_ExportMemoryAdmit)->Arg(10000)->Arg(100000);
 
 }  // namespace
 }  // namespace codb

@@ -18,23 +18,32 @@
 // survives the manager rebuilds a reconfiguration performs. It takes no
 // lock: every caller holds Node::mutex_ (DESIGN.md §10).
 //
+// Layout, per rule: every frontier that ever got an entry sits once in an
+// append-only RowStore whose segments never move, its epoch at the same
+// position of a flat array, and a PositionTable of those positions finds
+// it by hash. Recording a frontier copies it into the store and costs no
+// allocation of its own; growth allocates a segment or doubles an array.
+//
 // Invariant: a recorded frontier has been handed to the reliability
 // layer for shipment to the importer. On a send failure the caller
-// Forget()s the batch, trading a possible future re-ship (harmless:
-// importers store sets) for never silently missing an export. A refresh
-// update Reset()s the memory network-wide — its drop-and-rederive
-// semantics restate every export from scratch, which is also how the
-// memory recovers from an importer that lost its store.
+// Forget()s the batch, which marks its entries unshipped (they stay in
+// the store), trading a possible future re-ship (harmless: importers
+// store sets) for never silently missing an export. A refresh update
+// Reset()s the memory network-wide — its drop-and-rederive semantics
+// restate every export from scratch, which is also how the memory
+// recovers from an importer that lost its store.
 
 #ifndef CODB_CORE_EXPORT_MEMORY_H_
 #define CODB_CORE_EXPORT_MEMORY_H_
 
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
+#include "relation/position_table.h"
+#include "relation/row_store.h"
 #include "relation/tuple.h"
 
 namespace codb {
@@ -66,8 +75,8 @@ class ExportMemory {
   bool Record(const std::string& rule_id, const Tuple& frontier);
   bool Seen(const std::string& rule_id, const Tuple& frontier) const;
 
-  // Un-records a batch whose shipment failed, so a later shipment may
-  // re-derive and re-ship it.
+  // Marks a batch whose shipment failed unshipped, so a later shipment
+  // may re-derive and re-ship it as if it had no entry.
   void Forget(const std::string& rule_id,
               const std::vector<Tuple>& frontiers);
 
@@ -75,10 +84,21 @@ class ExportMemory {
   void Reset();
 
  private:
+  // The epoch of a forgotten entry: shipped by no flow.
+  static constexpr uint64_t kUnshipped = std::numeric_limits<uint64_t>::max();
+
   struct RuleMemory {
+    // Position of `frontier` in `frontiers`, or PositionTable::kNone.
+    uint32_t Find(const Tuple& frontier) const;
+    // Find, and when that finds nothing, appends `frontier` with `epoch`
+    // and returns PositionTable::kNone.
+    uint32_t FindOrAdd(const Tuple& frontier, uint64_t epoch);
+    void Clear();
+
     std::string fingerprint;
-    // Shipped frontier -> epoch of the flow that shipped it last.
-    std::unordered_map<Tuple, uint64_t, TupleHash> shipped;
+    RowStore frontiers;            // every frontier with an entry
+    std::vector<uint64_t> epochs;  // by position: flow that shipped it last
+    PositionTable index;           // positions into `frontiers`
   };
 
   uint64_t next_epoch_ = 1;

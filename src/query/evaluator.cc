@@ -94,7 +94,8 @@ std::vector<Tuple> CompiledQuery::Evaluate(const RelationSource& db) const {
   ScopedSpan span(Tracer::Global().BeginSpanHere("eval.full"));
   std::vector<Tuple> out;
   Run(db, /*forced_first=*/-1, /*forced_rows=*/nullptr, out);
-  ReleaseSeen();
+  // The set's positions index `out`, which leaves with the caller.
+  scratch_.seen.Clear();
   return out;
 }
 
@@ -110,27 +111,14 @@ std::vector<Tuple> CompiledQuery::EvaluateDelta(
   if (delta.empty()) return out;
   ScopedSpan span(Tracer::Global().BeginSpanHere("eval.delta"));
   // Most delta derivations yield on the order of one frontier per delta
-  // tuple; pre-sizing skips the incremental rehashes of growing from empty.
-  if (delta.size() > scratch_.seen.bucket_count()) {
-    scratch_.seen.reserve(delta.size());
-  }
+  // tuple; pre-sizing skips the growth steps from empty.
+  scratch_.seen.Reserve(delta.size());
   for (size_t i = 0; i < atoms_.size(); ++i) {
     if (atoms_[i].predicate != delta_relation) continue;
     Run(db, static_cast<int>(i), &delta, out);
   }
-  ReleaseSeen();
+  scratch_.seen.Clear();
   return out;
-}
-
-void CompiledQuery::ReleaseSeen() const {
-  // A large table is dropped rather than swept: clear() would memset its
-  // whole bucket array now and leave every later (typically tiny delta)
-  // evaluation the big table to probe and sweep again.
-  if (scratch_.seen.bucket_count() > 1024) {
-    scratch_.seen = std::unordered_set<Tuple, TupleHash>();
-  } else {
-    scratch_.seen.clear();
-  }
 }
 
 void CompiledQuery::ResolveAtoms(const RelationSource& db) const {
@@ -325,8 +313,16 @@ void CompiledQuery::Join(const std::vector<int>& order, size_t depth,
     }
     // Inline dedup: the projection goes out exactly once, checked at the
     // leaf instead of a second materialize-and-filter pass.
-    auto [it, inserted] = s.seen.emplace(frontier);
-    if (inserted) out.push_back(*it);
+    const uint32_t hash = PositionTable::Fold(
+        Tuple::HashOf(frontier.data(), frontier.size()));
+    const uint32_t found = s.seen.FindOrInsert(
+        hash, static_cast<uint32_t>(out.size()), [&](uint32_t at) {
+          return std::equal(out[at].begin(), out[at].end(), frontier.begin(),
+                            frontier.end());
+        });
+    if (found == PositionTable::kNone) {
+      out.emplace_back(frontier.data(), frontier.size());
+    }
     return;
   }
 

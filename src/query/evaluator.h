@@ -21,12 +21,14 @@
 // Results are *frontier tuples*: projections of the body bindings onto an
 // explicit list of output variables (for plain queries, the head's
 // distinguished variables; for GLAV rules, the head variables shared with
-// the body). Dedup happens inline at the join leaves against a hash set, so
-// duplicate projections are dropped as they are produced — including across
-// the per-occurrence passes of EvaluateDelta — and never materialized. The
-// set only dedups within one call: it is emptied when Evaluate or
-// EvaluateDelta returns, so what was shipped before is the export
-// memory's business (core/export_memory.h), not the evaluator's.
+// the body). Dedup happens inline at the join leaves, so duplicate
+// projections are dropped as they are produced — including across the
+// per-occurrence passes of EvaluateDelta — and never materialized. The
+// dedup set is a PositionTable (relation/position_table.h) of positions
+// into the call's output vector: a frontier is stored once, as its
+// output tuple. The set only dedups within one call: it is emptied when
+// Evaluate or EvaluateDelta returns, so what was shipped before is the
+// export memory's business (core/export_memory.h), not the evaluator's.
 //
 // Hot-path machinery (all per-instance, reused across calls):
 //   * plan cache    — the greedy subgoal order depends only on the forced
@@ -51,11 +53,11 @@
 #include <cstddef>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "query/ast.h"
 #include "relation/database.h"
+#include "relation/position_table.h"
 #include "util/status.h"
 
 namespace codb {
@@ -110,7 +112,9 @@ class CompiledQuery {
   struct Scratch {
     std::vector<Value> binding;
     std::vector<char> bound;  // char, not bool: avoids bitset proxies
-    std::unordered_set<Tuple, TupleHash> seen;
+    // Positions into Run's `out`; emptied before Evaluate or
+    // EvaluateDelta returns (a large table is given back, not swept).
+    PositionTable seen;
     std::vector<Value> frontier;
     // Per-join-depth buffers so recursion levels do not share them.
     std::vector<std::vector<int>> probe_columns;
@@ -129,10 +133,6 @@ class CompiledQuery {
 
   // Resolves every body atom's view into scratch_.atom_views.
   void ResolveAtoms(const RelationSource& db) const;
-
-  // Empties scratch_.seen when an evaluation returns, so no frontier
-  // outlives the call that produced it.
-  void ReleaseSeen() const;
 
   // Memoized ComputeOrder: reuses a cached order while every body relation
   // stays within the same log2 size bucket. Falls back to a fresh

@@ -46,9 +46,14 @@ Status Database::Replace(const std::string& name,
   if (it == relations_.end()) {
     return Status::NotFound("relation '" + name + "' does not exist");
   }
-  auto fresh = std::make_shared<Relation>(it->second->schema());
+  const Relation& old = *it->second;
+  auto fresh = std::make_shared<Relation>(old.schema());
   fresh->Reserve(rows.size());
-  for (const Tuple& tuple : rows) fresh->Insert(tuple);
+  for (const Tuple& tuple : rows) {
+    // A kept row keeps its import provenance, wherever it lands.
+    fresh->Insert(tuple,
+                  old.HasImports() && old.IsImported(old.RowOf(tuple)));
+  }
   it->second = std::move(fresh);
   return Status::Ok();
 }

@@ -58,9 +58,11 @@ class Database : public RelationSource {
   std::shared_ptr<const Relation> Share(const std::string& name) const;
 
   // Swaps in a fresh relation of the same schema holding `rows` (set
-  // semantics, in order); the only way a relation loses rows. Holders of
-  // the old relation keep reading the old rows; the new one builds its
-  // indexes on first probe. Invalidates Relation pointers to the old one.
+  // semantics, in order); the only way a relation loses rows. A row the
+  // old relation held keeps its import provenance (Relation::IsImported).
+  // Holders of the old relation keep reading the old rows; the new one
+  // builds its indexes on first probe. Invalidates Relation pointers to
+  // the old one.
   Status Replace(const std::string& name, const std::vector<Tuple>& rows);
 
   std::vector<std::string> RelationNames() const;

@@ -5,20 +5,24 @@
 
 namespace codb {
 
-const Relation::RowIndexList Relation::kEmptyBucket = {};
-
-bool Relation::Insert(const Tuple& tuple) {
+bool Relation::Insert(const Tuple& tuple, bool imported) {
   assert(tuple.arity() == arity() && "tuple arity does not match schema");
-  // Speculative append: pushing the row first lets the dedup set resolve
-  // presence with a single hash+probe (insert) instead of find-then-insert.
-  // A duplicate is popped right back; the set never saw it.
-  rows_.push_back(tuple);
-  uint32_t row = static_cast<uint32_t>(rows_.size() - 1);
-  if (!index_.insert(row).second) {
-    rows_.pop_back();
+  // One probe resolves presence and claims the slot: the new row's
+  // position goes in before the row does, which is safe because the
+  // table never compares against the position it is inserting.
+  const uint32_t row = static_cast<uint32_t>(rows_.size());
+  if (index_.FindOrInsert(
+          PositionTable::Fold(tuple.Hash()), row,
+          [&](uint32_t other) { return rows_[other] == tuple; }) !=
+      PositionTable::kNone) {
     return false;
   }
-  AppendToIndexes(rows_.back(), row);
+  rows_.push_back(tuple);
+  if (imported) {
+    if (imported_.size() <= row) imported_.resize(row + 1, false);
+    imported_[row] = true;
+  }
+  AppendToIndexes(row);
   return true;
 }
 
@@ -32,21 +36,24 @@ std::vector<Tuple> Relation::InsertNew(const std::vector<Tuple>& batch) {
 }
 
 void Relation::Reserve(size_t n) {
-  // Grow at least geometrically: repeated calls with slightly larger `n`
-  // (one per incoming batch) must not degrade the containers' amortized
-  // doubling into a full rehash per call.
-  size_t ceiling = static_cast<size_t>(
-      static_cast<float>(index_.bucket_count()) * index_.max_load_factor());
-  if (n > ceiling) index_.reserve(std::max(n, ceiling * 2));
-  for (ColumnIndex& ci : column_indexes_) {
-    if (!ci.built) continue;
-    size_t bucket_ceiling = static_cast<size_t>(
-        static_cast<float>(ci.buckets.bucket_count()) *
-        ci.buckets.max_load_factor());
-    if (n > bucket_ceiling) {
-      ci.buckets.reserve(std::max(n, bucket_ceiling * 2));
-    }
+  index_.Reserve(n);
+  for (KeyIndex& index : column_indexes_) {
+    if (!index.columns.empty()) ReserveIndex(index, n);
   }
+  for (auto& [columns, index] : composite_indexes_) ReserveIndex(index, n);
+}
+
+void Relation::ReserveIndex(KeyIndex& index, size_t n) {
+  const size_t rows = index.next.size();
+  if (n <= rows) return;
+  // At least doubling, so a burst of slightly larger reserves (one per
+  // incoming batch) does not copy the array per call.
+  if (n > index.next.capacity()) {
+    index.next.reserve(std::max(n, 2 * index.next.capacity()));
+  }
+  // Keys in proportion to the rows so far: a column of distinct values
+  // reserves a key per row, one of a few values hardly any.
+  if (rows > 0) index.keys.Reserve(index.chains.size() * n / rows);
 }
 
 std::vector<Tuple> Relation::Difference(
@@ -58,77 +65,82 @@ std::vector<Tuple> Relation::Difference(
   return out;
 }
 
-void Relation::AppendToIndexes(const Tuple& tuple, uint32_t row) const {
-  for (size_t c = 0; c < column_indexes_.size(); ++c) {
-    ColumnIndex& ci = column_indexes_[c];
-    if (ci.built) {
-      ci.buckets[tuple.at(static_cast<int>(c))].push_back(row);
-    }
+void Relation::AppendToIndexes(uint32_t row) const {
+  for (KeyIndex& index : column_indexes_) {
+    if (!index.columns.empty()) AppendToIndex(index, row);
   }
-  for (auto& [columns, composite] : composite_indexes_) {
-    composite.buckets[ProjectColumns(tuple, columns)].push_back(row);
+  for (auto& [columns, index] : composite_indexes_) {
+    AppendToIndex(index, row);
   }
 }
 
-Tuple Relation::ProjectColumns(const Tuple& tuple,
-                               const std::vector<int>& columns) {
-  if (columns.size() <= Tuple::kInlineCapacity) {
-    Value key[Tuple::kInlineCapacity];
-    for (size_t i = 0; i < columns.size(); ++i) {
-      key[i] = tuple.at(columns[i]);
-    }
-    return Tuple(key, columns.size());
+void Relation::AppendToIndex(KeyIndex& index, uint32_t row) const {
+  const Tuple& tuple = rows_[row];
+  const std::vector<int>& columns = index.columns;
+  const uint32_t hash = PositionTable::Fold(Tuple::HashOf(
+      columns.size(),
+      [&](size_t i) -> const Value& { return tuple.at(columns[i]); }));
+  const uint32_t key = index.keys.FindOrInsert(
+      hash, static_cast<uint32_t>(index.chains.size()), [&](uint32_t id) {
+        const Tuple& first = rows_[index.chains[id].first];
+        for (int c : columns) {
+          if (!(first.at(c) == tuple.at(c))) return false;
+        }
+        return true;
+      });
+  index.next.push_back(kNoRow);
+  if (key == PositionTable::kNone) {
+    index.chains.push_back(Chain{row, row, 1});
+    return;
   }
-  std::vector<Value> key;
-  key.reserve(columns.size());
-  for (int c : columns) key.push_back(tuple.at(c));
-  return Tuple(key);
+  Chain& chain = index.chains[key];
+  index.next[chain.last] = row;
+  chain.last = row;
+  ++chain.count;
 }
 
-void Relation::EnsureColumnIndex(int column) const {
+void Relation::BuildIndex(KeyIndex& index,
+                          const std::vector<int>& columns) const {
+  index.columns = columns;
+  index.next.reserve(rows_.size());
+  for (size_t row = 0; row < rows_.size(); ++row) {
+    AppendToIndex(index, static_cast<uint32_t>(row));
+  }
+}
+
+Relation::Bucket Relation::Lookup(const KeyIndex& index,
+                                  const Value* keys) const {
+  const std::vector<int>& columns = index.columns;
+  const uint32_t key = index.keys.Find(
+      PositionTable::Fold(Tuple::HashOf(keys, columns.size())),
+      [&](uint32_t id) {
+        const Tuple& first = rows_[index.chains[id].first];
+        for (size_t i = 0; i < columns.size(); ++i) {
+          if (!(first.at(columns[i]) == keys[i])) return false;
+        }
+        return true;
+      });
+  return key == PositionTable::kNone ? Bucket() : Bucket(&index, key);
+}
+
+Relation::Bucket Relation::Probe(int column, const Value& key) const {
   assert(column >= 0 && column < arity());
   if (column_indexes_.empty()) {
     column_indexes_.resize(static_cast<size_t>(arity()));
   }
-  ColumnIndex& ci = column_indexes_[static_cast<size_t>(column)];
-  if (ci.built) return;
-  ci.buckets.reserve(rows_.size());
-  for (size_t row = 0; row < rows_.size(); ++row) {
-    ci.buckets[rows_[row].at(column)].push_back(static_cast<uint32_t>(row));
-  }
-  ci.built = true;
+  KeyIndex& index = column_indexes_[static_cast<size_t>(column)];
+  if (index.columns.empty()) BuildIndex(index, {column});
+  return Lookup(index, &key);
 }
 
-Relation::CompositeIndex& Relation::EnsureCompositeIndex(
-    const std::vector<int>& columns) const {
+Relation::Bucket Relation::ProbeComposite(
+    const std::vector<int>& columns, const std::vector<Value>& keys) const {
   assert(!columns.empty());
+  assert(columns.size() == keys.size());
   assert(std::is_sorted(columns.begin(), columns.end()));
   auto [it, created] = composite_indexes_.try_emplace(columns);
-  CompositeIndex& composite = it->second;
-  if (created) {
-    composite.buckets.reserve(rows_.size());
-    for (size_t row = 0; row < rows_.size(); ++row) {
-      composite.buckets[ProjectColumns(rows_[row], columns)].push_back(
-          static_cast<uint32_t>(row));
-    }
-  }
-  return composite;
-}
-
-const Relation::RowIndexList& Relation::Probe(int column,
-                                              const Value& key) const {
-  EnsureColumnIndex(column);
-  const ColumnIndex& ci = column_indexes_[static_cast<size_t>(column)];
-  auto it = ci.buckets.find(key);
-  return it == ci.buckets.end() ? kEmptyBucket : it->second;
-}
-
-const Relation::RowIndexList& Relation::ProbeComposite(
-    const std::vector<int>& columns, const std::vector<Value>& keys) const {
-  assert(columns.size() == keys.size());
-  const CompositeIndex& composite = EnsureCompositeIndex(columns);
-  auto bucket = composite.buckets.find(Tuple(keys.data(), keys.size()));
-  return bucket == composite.buckets.end() ? kEmptyBucket : bucket->second;
+  if (created) BuildIndex(it->second, columns);
+  return Lookup(it->second, keys.data());
 }
 
 size_t Relation::WireSize() const {

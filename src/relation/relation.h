@@ -11,25 +11,29 @@
 // the old one (a query snapshot) keeps reading the old rows. Growth-only
 // makes a row count a snapshot: rows [0, n) never change once written.
 //
-// Index lifecycle: per-column and composite (multi-column) hash indexes are
-// built lazily on first probe and then maintained *incrementally* — every
-// subsequent insert appends the new row to each built index in O(arity).
-// Indexes are never invalidated or rebuilt. Buckets hold row positions
-// into rows(), and every bucket lists its positions in ascending order
-// (RelationView relies on that). Rows themselves never move either: the
-// RowStore (relation/row_store.h) grows by segments instead of
+// Index lifecycle: per-column and composite (multi-column) probe indexes
+// are built lazily on first probe and then maintained *incrementally* —
+// every later insert links the new row into each built index in
+// O(arity). Indexes are never invalidated or rebuilt.
+//
+// Every per-row set here is a PositionTable (relation/position_table.h)
+// of uint32_t positions, so no entry is a heap node of its own. The dedup
+// index holds row positions into rows(). A probe index holds key ids: a
+// key names its first row, its last row and its row count, and each row
+// names the next row of its key, so a key's rows form a chain in
+// ascending position order (RelationView relies on that). Rows never move
+// either: the RowStore (relation/row_store.h) grows by segments instead of
 // reallocating, so an insert never copies the rows already there.
 
 #ifndef CODB_RELATION_RELATION_H_
 #define CODB_RELATION_RELATION_H_
 
 #include <cstdint>
-#include <limits>
+#include <iterator>
 #include <map>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
+#include "relation/position_table.h"
 #include "relation/row_store.h"
 #include "relation/schema.h"
 #include "relation/tuple.h"
@@ -38,18 +42,80 @@
 namespace codb {
 
 class Relation {
+ private:
+  struct KeyIndex;
+
  public:
-  // Positions into rows() of the tuples matching a probe.
-  using RowIndexList = std::vector<uint32_t>;
   // RowOf's answer for a tuple the relation does not hold.
-  static constexpr uint32_t kNoRow = std::numeric_limits<uint32_t>::max();
+  static constexpr uint32_t kNoRow = PositionTable::kNone;
 
-  explicit Relation(RelationSchema schema)
-      : schema_(std::move(schema)),
-        index_(0, RowRefHash{&rows_}, RowRefEq{&rows_}) {}
+  // The positions into rows() of the tuples matching one probe, ascending.
+  // A live view: rows inserted with the same key after the probe show up
+  // in it (size() included), and it stays valid as long as the relation.
+  // A probe of a key no row holds yet gives an empty bucket that stays
+  // empty. Iterators are invalidated by inserts, like a vector's.
+  class Bucket {
+   public:
+    class const_iterator {
+     public:
+      using iterator_category = std::forward_iterator_tag;
+      using value_type = uint32_t;
+      using difference_type = std::ptrdiff_t;
+      using pointer = const uint32_t*;
+      using reference = uint32_t;
 
-  // The dedup index hashes row positions through rows_, so the object must
-  // stay put (Database owns relations behind shared_ptr).
+      const_iterator() = default;
+
+      uint32_t operator*() const { return row_; }
+      const_iterator& operator++() {
+        row_ = (*next_)[row_];
+        return *this;
+      }
+      const_iterator operator++(int) {
+        const_iterator old = *this;
+        ++*this;
+        return old;
+      }
+      bool operator==(const const_iterator& other) const {
+        return row_ == other.row_;
+      }
+
+     private:
+      friend class Bucket;
+      const_iterator(const std::vector<uint32_t>* next, uint32_t row)
+          : next_(next), row_(row) {}
+
+      const std::vector<uint32_t>* next_ = nullptr;
+      uint32_t row_ = kNoRow;
+    };
+
+    Bucket() = default;
+
+    // O(1): the key keeps its row count.
+    size_t size() const {
+      return index_ == nullptr ? 0 : index_->chains[key_].count;
+    }
+    bool empty() const { return size() == 0; }
+
+    const_iterator begin() const {
+      return index_ == nullptr
+                 ? end()
+                 : const_iterator(&index_->next, index_->chains[key_].first);
+    }
+    const_iterator end() const { return const_iterator(); }
+
+   private:
+    friend class Relation;
+    Bucket(const KeyIndex* index, uint32_t key) : index_(index), key_(key) {}
+
+    const KeyIndex* index_ = nullptr;  // null: no row matches
+    uint32_t key_ = 0;
+  };
+
+  explicit Relation(RelationSchema schema) : schema_(std::move(schema)) {}
+
+  // Indexes and buckets point into the relation, so the object must stay
+  // put (Database owns relations behind shared_ptr).
   Relation(const Relation&) = delete;
   Relation& operator=(const Relation&) = delete;
   Relation(Relation&&) = delete;
@@ -61,30 +127,36 @@ class Relation {
   size_t size() const { return rows_.size(); }
   bool empty() const { return rows_.empty(); }
 
-  bool Contains(const Tuple& tuple) const {
-    // Heterogeneous (C++20) lookup: hashes/compares the probe tuple against
-    // stored row positions without materializing a key copy.
-    return index_.find(tuple) != index_.end();
-  }
+  bool Contains(const Tuple& tuple) const { return RowOf(tuple) != kNoRow; }
 
   // Position of `tuple` in rows(), or kNoRow. One dedup-index lookup; a
   // snapshot of the first n rows holds the tuple iff RowOf(tuple) < n.
   uint32_t RowOf(const Tuple& tuple) const {
-    auto it = index_.find(tuple);
-    return it == index_.end() ? kNoRow : *it;
+    return index_.Find(PositionTable::Fold(tuple.Hash()),
+                       [&](uint32_t row) { return rows_[row] == tuple; });
   }
 
   // Inserts if absent; returns true if the tuple was new. Arity-checked.
-  bool Insert(const Tuple& tuple);
+  // A new row inserted as `imported` arrived over the network: a refresh
+  // drops it and keeps every other row (Wrapper::DropImported). A row
+  // already present keeps the provenance it has.
+  bool Insert(const Tuple& tuple, bool imported = false);
+
+  // Import provenance of row `row` (see Insert); false for kNoRow.
+  bool IsImported(uint32_t row) const {
+    return row < imported_.size() && imported_[row];
+  }
+  // True if some row is imported.
+  bool HasImports() const { return !imported_.empty(); }
 
   // Inserts a batch and returns the sub-batch that was actually new — the
   // T' = T \ R step of the paper, fused with R += T'.
   std::vector<Tuple> InsertNew(const std::vector<Tuple>& batch);
 
-  // Pre-sizes the dedup set and any built column indexes for `n` total
-  // rows, so a known-size insert burst avoids incremental rehashing. A
-  // no-op when already at least that large. Row storage needs none: it
-  // grows by segments and never moves.
+  // Pre-sizes the dedup index and the built probe indexes for `n` total
+  // rows, so a known-size insert burst does not grow them one step at a
+  // time. Growth stays geometric under repeated slightly larger calls.
+  // Row storage needs none: it grows by segments and never moves.
   void Reserve(size_t n);
 
   // The tuples of `batch` not present in this relation (pure set diff; does
@@ -95,18 +167,16 @@ class Relation {
   // deterministic caller.
   const RowStore& rows() const { return rows_; }
 
-  // Positions of the tuples whose column `column` equals `key`, ascending.
-  // The per-column hash index is built lazily on first probe and appended
-  // to on every later insert; take a copy of the result before inserting if
-  // iterating across modifications.
-  const RowIndexList& Probe(int column, const Value& key) const;
+  // The rows whose column `column` equals `key`. The column's index is
+  // built on the first probe and linked into on every later insert.
+  Bucket Probe(int column, const Value& key) const;
 
-  // Positions of the tuples matching `keys[i]` on `columns[i]` for every i.
-  // `columns` must be strictly ascending and non-empty. Backed by a lazily
-  // created composite hash index on that column set, maintained
-  // incrementally like the single-column ones. Ascending, like Probe.
-  const RowIndexList& ProbeComposite(const std::vector<int>& columns,
-                                     const std::vector<Value>& keys) const;
+  // The rows matching `keys[i]` on `columns[i]` for every i. `columns`
+  // must be strictly ascending and non-empty. Backed by a composite index
+  // on that column set, created on first use and maintained like the
+  // single-column ones.
+  Bucket ProbeComposite(const std::vector<int>& columns,
+                        const std::vector<Value>& keys) const;
 
   // Total wire size of all rows (for volume statistics).
   size_t WireSize() const;
@@ -114,59 +184,43 @@ class Relation {
   std::string ToString() const;
 
  private:
-  struct ColumnIndex {
-    bool built = false;
-    std::unordered_map<Value, RowIndexList, ValueHash> buckets;
+  // One key's rows: the chain first -> next[first] -> ... -> last.
+  struct Chain {
+    uint32_t first;
+    uint32_t last;
+    uint32_t count;
   };
-  struct CompositeIndex {
-    std::unordered_map<Tuple, RowIndexList, TupleHash> buckets;
-  };
-
-  // The dedup set stores row positions, not tuple copies: an element hashes
-  // and compares as the tuple it denotes in *rows. `is_transparent` lets a
-  // probe Tuple be looked up directly against stored positions.
-  struct RowRefHash {
-    const RowStore* rows;
-    using is_transparent = void;
-    size_t operator()(uint32_t row) const { return (*rows)[row].Hash(); }
-    size_t operator()(const Tuple& t) const { return t.Hash(); }
-  };
-  struct RowRefEq {
-    const RowStore* rows;
-    using is_transparent = void;
-    bool operator()(uint32_t a, uint32_t b) const {
-      return a == b || (*rows)[a] == (*rows)[b];
-    }
-    bool operator()(uint32_t a, const Tuple& t) const {
-      return (*rows)[a] == t;
-    }
-    bool operator()(const Tuple& t, uint32_t a) const {
-      return (*rows)[a] == t;
-    }
+  // A probe index on one column set. `keys` holds key ids into `chains`,
+  // hashed by the key's values and compared through the key's first row.
+  struct KeyIndex {
+    std::vector<int> columns;       // ascending; empty until built
+    PositionTable keys;
+    std::vector<Chain> chains;      // by key id
+    std::vector<uint32_t> next;     // by row: its key's next row, or kNoRow
   };
 
-  // Adds row `row` (== its position in rows_) to every built index.
-  void AppendToIndexes(const Tuple& tuple, uint32_t row) const;
-
-  // The lazy index builds behind Probe/ProbeComposite. The composite one
-  // returns the index, so ProbeComposite pays a single map lookup.
-  void EnsureColumnIndex(int column) const;
-  CompositeIndex& EnsureCompositeIndex(const std::vector<int>& columns) const;
-
-  static Tuple ProjectColumns(const Tuple& tuple,
-                              const std::vector<int>& columns);
+  // Builds `index` over `columns` from the rows already held.
+  void BuildIndex(KeyIndex& index, const std::vector<int>& columns) const;
+  // Links row `row` into `index`.
+  void AppendToIndex(KeyIndex& index, uint32_t row) const;
+  // Links row `row` into every built index.
+  void AppendToIndexes(uint32_t row) const;
+  // The bucket of the key keys[0, columns.size()) in a built index.
+  Bucket Lookup(const KeyIndex& index, const Value* keys) const;
+  static void ReserveIndex(KeyIndex& index, size_t n);
 
   RelationSchema schema_;
   RowStore rows_;
-  std::unordered_set<uint32_t, RowRefHash, RowRefEq> index_;
+  PositionTable index_;        // the dedup index: row positions
+  std::vector<bool> imported_;  // by row; rows past its end are local
 
   // Lazily built, incrementally maintained probe indexes. Mutable because
   // probing is logically const. Not internally locked: mutation (inserts,
   // first-probe builds) happens on the peer's single handler thread, under
-  // the owning node's mutex (DESIGN.md §10).
-  mutable std::vector<ColumnIndex> column_indexes_;
-  mutable std::map<std::vector<int>, CompositeIndex> composite_indexes_;
-  static const RowIndexList kEmptyBucket;
+  // the owning node's mutex (DESIGN.md §10). Neither container moves an
+  // index once built, so buckets may point at them.
+  mutable std::vector<KeyIndex> column_indexes_;  // by column
+  mutable std::map<std::vector<int>, KeyIndex> composite_indexes_;
 };
 
 // What the evaluator reads of one relation: rows [0, end) of `base` plus
@@ -224,11 +278,14 @@ class RelationView {
 
  private:
   template <typename Fn>
-  static void Visit(const Relation& relation,
-                    const Relation::RowIndexList& bucket, size_t end,
-                    Fn& fn) {
-    // Ascending: the first position past `end` ends the snapshot's rows.
-    relation.rows().ForEachListed(bucket, end, fn);
+  static void Visit(const Relation& relation, const Relation::Bucket& bucket,
+                    size_t end, Fn& fn) {
+    const RowStore& rows = relation.rows();
+    for (uint32_t row : bucket) {
+      // Ascending: the first position past `end` ends the snapshot's rows.
+      if (row >= end) break;
+      fn(rows[row]);
+    }
   }
 
   const Relation* base_ = nullptr;

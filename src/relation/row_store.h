@@ -9,7 +9,7 @@
 // buffer's pages), a cost that depends on how busy the host's memory is.
 // Here an insert at most allocates the next segment, whose pages are
 // touched one row at a time as rows arrive. A reference to a row stays
-// valid until that row is popped or the store is destroyed.
+// valid until the store is cleared or destroyed.
 
 #ifndef CODB_RELATION_ROW_STORE_H_
 #define CODB_RELATION_ROW_STORE_H_
@@ -22,7 +22,6 @@
 #include <cstdint>
 #include <iterator>
 #include <memory>
-#include <vector>
 
 #include "relation/tuple.h"
 
@@ -66,7 +65,10 @@ class RowStore {
   RowStore() = default;
   RowStore(const RowStore&) = delete;
   RowStore& operator=(const RowStore&) = delete;
-  ~RowStore() {
+  ~RowStore() { Clear(); }
+
+  // Destroys every row and gives back every segment.
+  void Clear() {
     for (size_t segment = 0;
          segment < kSegments && segments_[segment] != nullptr; ++segment) {
       const size_t begin = SegmentBegin(segment);
@@ -75,7 +77,9 @@ class RowStore {
           size_ > begin ? std::min(size_ - begin, capacity) : 0;
       std::destroy_n(segments_[segment], live);
       std::allocator<Tuple>().deallocate(segments_[segment], capacity);
+      segments_[segment] = nullptr;
     }
+    size_ = 0;
   }
 
   size_t size() const { return size_; }
@@ -102,14 +106,6 @@ class RowStore {
     ++size_;
   }
 
-  // Destroys the last row; its segment stays allocated for the next push.
-  void pop_back() {
-    assert(size_ > 0);
-    --size_;
-    const size_t segment = SegmentOf(size_);
-    std::destroy_at(segments_[segment] + (size_ - SegmentBegin(segment)));
-  }
-
   // Calls fn(tuple) for rows [0, end) in order, a segment at a time.
   template <typename Fn>
   void ForEach(size_t end, Fn&& fn) const {
@@ -123,36 +119,14 @@ class RowStore {
     }
   }
 
-  // Calls fn(tuple) for each row of `positions` (ascending) below `end`,
-  // stopping at the first one at or past it. Ascending positions cross
-  // segments in order, so the segment is looked up once per segment, not
-  // once per row.
-  template <typename Fn>
-  void ForEachListed(const std::vector<uint32_t>& positions, size_t end,
-                     Fn&& fn) const {
-    const Tuple* data = nullptr;
-    size_t begin = 0;
-    size_t stop = 0;  // data holds rows [begin, stop)
-    for (uint32_t row : positions) {
-      if (row >= end) break;
-      if (row >= stop) {
-        const size_t segment = SegmentOf(row);
-        data = segments_[segment];
-        begin = SegmentBegin(segment);
-        stop = SegmentEnd(segment);
-      }
-      fn(data[row - begin]);
-    }
-  }
-
   const_iterator begin() const { return const_iterator(this, 0); }
   const_iterator end() const { return const_iterator(this, size_); }
 
  private:
   static constexpr int kFirstBits = 4;
   static constexpr size_t kFirstRows = size_t{1} << kFirstBits;
-  // Enough for every uint32_t row position (Relation::RowIndexList): the
-  // last one, 2^32 - 1, lies in segment 28.
+  // Enough for every uint32_t row position: the last one, 2^32 - 1, lies
+  // in segment 28.
   static constexpr size_t kSegments = 32 - kFirstBits + 1;
 
   static size_t SegmentOf(size_t row) {

@@ -75,12 +75,24 @@ class Tuple {
   // elsewhere are isomorphic iff their canonical forms are equal.
   Tuple CanonicalizeNulls() const;
 
-  // Inline: keys every dedup set and index bucket on the update hot path.
-  size_t Hash() const {
+  // Inline: keys every dedup set and index on the update hot path.
+  size_t Hash() const { return HashOf(data(), size_); }
+
+  // The Hash() of the tuple holding values[0, count), computed without
+  // building it (a frontier still in scratch, a probe key).
+  static size_t HashOf(const Value* values, size_t count) {
+    return HashOf(count, [values](size_t i) -> const Value& {
+      return values[i];
+    });
+  }
+
+  // The Hash() of the tuple whose i-th value is at(i), for i < count: the
+  // hash of a projection, computed without building it.
+  template <typename At>
+  static size_t HashOf(size_t count, At&& at) {
     size_t h = 0x9e3779b97f4a7c15ULL;
-    const Value* values = data();
-    for (uint32_t i = 0; i < size_; ++i) {
-      h = h * 31 + values[i].Hash();
+    for (size_t i = 0; i < count; ++i) {
+      h = h * 31 + at(i).Hash();
     }
     return h;
   }

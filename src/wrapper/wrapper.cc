@@ -38,36 +38,35 @@ Result<std::map<std::string, std::vector<Tuple>>> Wrapper::ApplyHeadTuples(
   // A batch touches only a handful of relations but its tuples arrive
   // interleaved (rule heads fire round-robin), so resolve each relation
   // name once into a slot and pick the slot per tuple with a short linear
-  // scan — cheaper than a map lookup and a grouping copy per tuple.
+  // scan — cheaper than a map lookup and a grouping copy per tuple. A
+  // first pass counts what the batch aims at each relation, so each is
+  // reserved for its own share before any insert.
   struct Slot {
     const std::string* name;
     Relation* rel;
-    std::vector<char>* provenance;
+    size_t aimed = 0;
     std::vector<Tuple> added;
   };
   std::vector<Slot> slots;
+  std::vector<uint32_t> slot_of;
+  slot_of.reserve(tuples.size());
   for (const HeadTuple& ht : tuples) {
-    Slot* slot = nullptr;
-    for (Slot& s : slots) {
-      if (*s.name == ht.relation) {
-        slot = &s;
-        break;
-      }
-    }
-    if (slot == nullptr) {
+    size_t at = 0;
+    while (at < slots.size() && *slots[at].name != ht.relation) ++at;
+    if (at == slots.size()) {
       CODB_ASSIGN_OR_RETURN(Relation * rel, storage_->Get(ht.relation));
-      // Upper bound (the whole batch could target this relation); keeps
-      // the dedup set and built indexes from rehashing mid-burst.
-      rel->Reserve(rel->size() + tuples.size());
-      slots.push_back(Slot{&ht.relation, rel, &imported_[ht.relation], {}});
-      slot = &slots.back();
+      slots.push_back(Slot{&ht.relation, rel, 0, {}});
     }
-    if (slot->rel->Insert(ht.tuple)) {
-      // The fresh tuple is the last row; flag its position as imported.
-      slot->provenance->resize(slot->rel->size(), 0);
-      slot->provenance->back() = 1;
+    ++slots[at].aimed;
+    slot_of.push_back(static_cast<uint32_t>(at));
+  }
+  for (Slot& slot : slots) slot.rel->Reserve(slot.rel->size() + slot.aimed);
+  for (size_t i = 0; i < tuples.size(); ++i) {
+    const HeadTuple& ht = tuples[i];
+    Slot& slot = slots[slot_of[i]];
+    if (slot.rel->Insert(ht.tuple, /*imported=*/true)) {
       if (journal_ != nullptr) journal_->LogInsert(ht.relation, ht.tuple);
-      slot->added.push_back(ht.tuple);
+      slot.added.push_back(ht.tuple);
     }
   }
   std::map<std::string, std::vector<Tuple>> fresh;
@@ -83,8 +82,7 @@ Status Wrapper::InsertLocal(const std::string& relation,
   rel->Reserve(rel->size() + rows.size());
   std::vector<Tuple>* pending = nullptr;
   for (const Tuple& row : rows) {
-    // Insert without touching imported_: the provenance vector stays
-    // short, so DropImported treats these rows as local and keeps them.
+    // Not imported: DropImported keeps these rows.
     if (!rel->Insert(row)) continue;
     if (journal_ != nullptr) journal_->LogInsert(relation, row);
     if (pending == nullptr) pending = &pending_delta_[relation];
@@ -100,22 +98,21 @@ std::map<std::string, std::vector<Tuple>> Wrapper::TakePendingDelta() {
 }
 
 void Wrapper::DropImported() {
-  for (auto& [relation_name, provenance] : imported_) {
-    const Relation* relation = storage_->Find(relation_name);
-    if (relation == nullptr || provenance.empty()) continue;
+  for (const std::string& name : storage_->RelationNames()) {
+    const Relation* relation = storage_->Find(name);
+    if (!relation->HasImports()) continue;
     std::vector<Tuple> kept;
     kept.reserve(relation->size());
     const RowStore& rows = relation->rows();
     for (size_t row = 0; row < rows.size(); ++row) {
-      if (row >= provenance.size() || provenance[row] == 0) {
+      if (!relation->IsImported(static_cast<uint32_t>(row))) {
         kept.push_back(rows[row]);
       }
     }
     // A fresh relation, not an in-place shrink: a query snapshot sharing
     // the old one keeps its pre-refresh rows.
-    storage_->Replace(relation_name, kept);
+    storage_->Replace(name, kept);
   }
-  imported_.clear();
 }
 
 Result<std::vector<Tuple>> Wrapper::EvaluateQuery(

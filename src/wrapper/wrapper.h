@@ -22,7 +22,6 @@
 #include <map>
 #include <memory>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 #include "query/ast.h"
@@ -53,8 +52,12 @@ class Wrapper {
 
   // Inserts head tuples produced by a rule firing and returns, per
   // relation, only the tuples that were actually new (the T' of the
-  // paper's dedup step). Unknown relations are an error. Inserted tuples
-  // are remembered as *imported* (provenance for refresh updates).
+  // paper's dedup step). Unknown relations are an error. Inserted rows
+  // are flagged *imported* in their relation (Relation::IsImported): the
+  // provenance a refresh update drops by. The flag stays with the row, so
+  // a deletion at this node (Database::Replace) cannot shift it onto
+  // another row. Each relation is reserved for the tuples the batch aims
+  // at it before the first insert.
   Result<std::map<std::string, std::vector<Tuple>>> ApplyHeadTuples(
       const std::vector<HeadTuple>& tuples);
 
@@ -71,10 +74,10 @@ class Wrapper {
   // last call: the seed of UpdateManager::StartIncrementalUpdate.
   std::map<std::string, std::vector<Tuple>> TakePendingDelta();
 
-  // Removes every tuple previously recorded as imported, keeping local
-  // (seeded/user-inserted) data. A refresh update calls this before the
-  // initial link evaluation, so source-side deletions propagate: data no
-  // longer derivable simply never comes back. Each shrunk relation is
+  // Removes every row flagged imported, keeping local (seeded or
+  // user-inserted) data. A refresh update calls this before the initial
+  // link evaluation, so source-side deletions propagate: data no longer
+  // derivable simply never comes back. Each shrunk relation is
   // rebuilt and swapped in (Database::Replace); open query snapshots keep
   // the old one.
   void DropImported();
@@ -106,10 +109,6 @@ class Wrapper {
   JournalSink* journal_ = nullptr;            // optional, not owned
   // Local inserts not yet shipped by an incremental update, per relation.
   std::map<std::string, std::vector<Tuple>> pending_delta_;
-  // Import provenance: per relation, a flag per row position marking the
-  // tuples that arrived over the network (a relation only grows until
-  // DropImported replaces it, so positions are stable).
-  std::map<std::string, std::vector<char>> imported_;
   DbsRepository dbs_;
 };
 

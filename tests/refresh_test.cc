@@ -110,6 +110,40 @@ TEST(RefreshTest, LocalDataSurvivesRefresh) {
   EXPECT_EQ(bed.node("n0")->database().Find("d")->size(), 7u);
 }
 
+TEST(RefreshTest, DeletionAtTheImporterLeavesProvenanceWithItsRows) {
+  // A deletion at n0 rebuilds its relation (Database::Replace), so every
+  // later row moves up a position. The import flags must move with their
+  // rows: the refresh then drops exactly the imported rows.
+  WorkloadOptions options;
+  options.nodes = 2;
+  options.tuples_per_node = 3;
+  GeneratedNetwork generated = MakeChain(options);
+
+  Result<std::unique_ptr<Testbed>> testbed = Testbed::Create(generated);
+  ASSERT_TRUE(testbed.ok());
+  Testbed& bed = *testbed.value();
+  ASSERT_TRUE(bed.RunGlobalUpdate("n0").ok());
+  ASSERT_EQ(bed.node("n0")->database().Find("d")->size(), 6u);
+
+  const std::vector<Tuple>& own = generated.seeds.at("n0").at("d");
+  DeleteTuple(bed.node("n0")->database(), "d", own[0]);
+  const Tuple source = generated.seeds.at("n1").at("d")[0];
+  DeleteTuple(bed.node("n1")->database(), "d", source);
+
+  Result<FlowId> refresh = bed.node("n0")->StartGlobalRefresh();
+  ASSERT_TRUE(refresh.ok());
+  bed.network().Run();
+  ASSERT_TRUE(bed.AllComplete(refresh.value()));
+
+  // n0's two remaining own rows and n1's two remaining rows.
+  const Relation* d = bed.node("n0")->database().Find("d");
+  EXPECT_EQ(d->size(), 4u);
+  EXPECT_FALSE(d->Contains(source));
+  EXPECT_FALSE(d->Contains(own[0]));
+  EXPECT_TRUE(d->Contains(own[1]));
+  EXPECT_TRUE(d->Contains(own[2]));
+}
+
 TEST(RefreshTest, RefreshIsIdempotent) {
   WorkloadOptions options;
   options.nodes = 3;

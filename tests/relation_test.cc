@@ -180,44 +180,22 @@ TEST(RowStoreTest, ForEachVisitsThePrefixInOrder) {
   }
 }
 
-TEST(RowStoreTest, ForEachListedStopsAtTheEnd) {
-  RowStore store;
-  for (int i = 0; i < 200; ++i) store.push_back(Tuple{Value::Int(i)});
-  // Positions on both sides of the segment boundaries at 16, 48 and 112.
-  const std::vector<uint32_t> positions = {0, 15, 16, 47, 48, 111, 112,
-                                           150, 199};
-  for (size_t end : {size_t{0}, size_t{16}, size_t{49}, size_t{151},
-                     size_t{200}}) {
-    std::vector<int64_t> seen;
-    store.ForEachListed(positions, end, [&](const Tuple& row) {
-      seen.push_back(row.at(0).AsInt());
-    });
-    std::vector<int64_t> expected;
-    for (uint32_t row : positions) {
-      if (row < end) expected.push_back(row);
-    }
-    EXPECT_EQ(seen, expected) << "end " << end;
-  }
-}
-
-TEST(RowStoreTest, PopBackThenPushReusesTheSlot) {
+TEST(RowStoreTest, ClearDestroysEveryRowAndStartsOver) {
   // Wider than Tuple::kInlineCapacity, so every row owns heap memory: ASan
-  // sees a leak or double free if pop_back or the destructor miscounts.
+  // sees a leak or double free if Clear or the destructor miscounts.
   auto wide = [](int64_t key) {
     return Tuple{Value::Int(key), Value::Int(1), Value::Int(2),
                  Value::Int(3), Value::Int(4), Value::Int(5)};
   };
   RowStore store;
-  for (int i = 0; i < 49; ++i) store.push_back(wide(i));
-  store.pop_back();  // row 48, alone in its segment
-  store.pop_back();
-  ASSERT_EQ(store.size(), 47u);
-  EXPECT_EQ(store.back(), wide(46));
+  for (int i = 0; i < 49; ++i) store.push_back(wide(i));  // 4 segments
+  store.Clear();
+  EXPECT_TRUE(store.empty());
   store.push_back(wide(100));
   store.push_back(wide(101));
-  ASSERT_EQ(store.size(), 49u);
-  EXPECT_EQ(store[47], wide(100));
-  EXPECT_EQ(store[48], wide(101));
+  ASSERT_EQ(store.size(), 2u);
+  EXPECT_EQ(store[0], wide(100));
+  EXPECT_EQ(store.back(), wide(101));
 }
 
 TEST(DatabaseTest, ReplaceLeavesHoldersTheOldRows) {
@@ -247,9 +225,10 @@ TEST(DatabaseTest, ReplaceLeavesHoldersTheOldRows) {
   ASSERT_NE(fresh, held.get());
   EXPECT_EQ(fresh->size(), 2u);
   EXPECT_FALSE(fresh->Contains(Tuple{Value::Int(1), Value::Int(1)}));
-  const Relation::RowIndexList& bucket = fresh->Probe(0, Value::Int(1));
+  const Relation::Bucket bucket = fresh->Probe(0, Value::Int(1));
   ASSERT_EQ(bucket.size(), 1u);
-  EXPECT_EQ(fresh->rows()[bucket[0]], (Tuple{Value::Int(1), Value::Int(2)}));
+  EXPECT_EQ(fresh->rows()[*bucket.begin()],
+            (Tuple{Value::Int(1), Value::Int(2)}));
   EXPECT_TRUE(
       fresh->ProbeComposite({0, 1}, {Value::Int(1), Value::Int(1)}).empty());
   EXPECT_EQ(
