@@ -17,7 +17,9 @@
 // takes longer than the protocol bound, if the update does not
 // terminate on the surviving topology, or if the config-distribution
 // volume (slices + deltas + fetches + acks) fails the sub-quadratic
-// scaling fit or the absolute cap at n=1000 (DESIGN.md §13).
+// scaling fit or the absolute cap at n=1000 (DESIGN.md §13). With
+// profiling on, it also FAILS (E15) unless, per cost class, the peers'
+// own ledgers sent exactly what the network's ledger counted.
 
 #include <algorithm>
 #include <cmath>
@@ -83,8 +85,8 @@ void RunMembershipScale() {
     bed_options.membership = true;
     bed_options.membership_options.period_us = kPeriodUs;
     bed_options.super_peers = std::max(1, n / 250);
-    // The profile pass (E15): global cost ledger + event-loop profiler on
-    // for the whole deployment, including the settle-phase config
+    // The profile pass (E15): per-peer cost ledgers + event-loop profiler
+    // on for the whole deployment, including the settle-phase config
     // broadcast the cost model exists to expose.
     bed_options.profiling = true;
 
@@ -170,18 +172,38 @@ void RunMembershipScale() {
     }
     Print("\n");
 
-    // The ledger's config class and the transport's per-type byte count
-    // observe the same sends through different code paths; any difference
-    // means the classification or recording hooks drifted.
-    if (cost.SentBytes(CostClass::kConfig) != config_bytes) {
-      std::fprintf(stderr,
-                   "E14 FAILED at n=%d: ledger config bytes %llu != "
-                   "transport config bytes %llu\n",
-                   n,
-                   static_cast<unsigned long long>(
-                       cost.SentBytes(CostClass::kConfig)),
-                   static_cast<unsigned long long>(config_bytes));
-      std::exit(1);
+    // The network core charges each send to the network's ledger and to
+    // the sender's own ledger in one call. Per class, the sent sides of
+    // every peer's ledger — live nodes, killed nodes (what they sent
+    // before the kill counts too) and super-peers — must add up to the
+    // network's exactly; any difference means a peer's recording drifted.
+    for (size_t c = 0; c < kCostClassCount; ++c) {
+      const CostClass cls = static_cast<CostClass>(c);
+      CostLedger::Totals peers;
+      auto add = [&peers, cls](const CostLedger& ledger) {
+        peers.messages += ledger.Sent(cls).messages;
+        peers.bytes += ledger.Sent(cls).bytes;
+      };
+      for (const auto& node : bed.nodes()) add(node->statistics().cost());
+      for (const auto& node : bed.killed_nodes()) {
+        add(node->statistics().cost());
+      }
+      for (size_t s = 0; s < bed.super_peer_count(); ++s) {
+        add(bed.super_peer(s).cost());
+      }
+      const CostLedger::Totals network = cost.Sent(cls);
+      if (peers.messages != network.messages || peers.bytes != network.bytes) {
+        std::fprintf(stderr,
+                     "E15 FAILED at n=%d: %s class: the peers' ledgers sent "
+                     "%llu msgs / %llu B, the network's ledger %llu msgs / "
+                     "%llu B\n",
+                     n, CostClassName(cls),
+                     static_cast<unsigned long long>(peers.messages),
+                     static_cast<unsigned long long>(peers.bytes),
+                     static_cast<unsigned long long>(network.messages),
+                     static_cast<unsigned long long>(network.bytes));
+        std::exit(1);
+      }
     }
 
     // At n=1000, fit cfg(n) ~ n^e from the n=100 endpoint: the projected
@@ -247,7 +269,7 @@ void RunMembershipScale() {
         obj.Set("config_scaling_exponent",
                 JsonValue::Number(config_scaling_exponent));
       }
-      obj.Set("cost", cost.Snapshot().ToJson());
+      obj.Set("cost", cost.CostSnapshot().ToJson());
       obj.Set("profile", net.profiler().Snapshot().ToJson());
       obj.Set("retained", std::move(retained));
       obj.Set("wall_ms", JsonValue::Number(wall_ms));

@@ -243,7 +243,7 @@ void Run() {
     bed->network().Run();
     const uint64_t full_rows = eval_rows();
 
-    const TransportStats& net = bed->network().stats();
+    const CostLedger& net = bed->network().stats();
     auto flood_messages = [&net] {
       return net.MessagesOfType(MessageType::kUpdateRequest) +
              net.MessagesOfType(MessageType::kLinkClosed);

@@ -309,7 +309,7 @@ inline UpdateMetrics RunUpdate(const GeneratedNetwork& generated,
   metrics.completed = bed.AllComplete(update.value());
   metrics.virtual_us = bed.network().now_us() - start_virtual;
 
-  const TransportStats& stats = bed.network().stats();
+  const CostLedger& stats = bed.network().stats();
   metrics.data_messages = stats.MessagesOfType(MessageType::kUpdateData);
   metrics.data_bytes = stats.BytesOfType(MessageType::kUpdateData);
   metrics.control_messages =

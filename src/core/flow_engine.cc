@@ -64,8 +64,7 @@ FlowEngine::FlowEngine(FlowId::Scope scope, const Context& context)
                 },
                 stats_->metrics().GetCounter(MetricName(scope, "retransmits")),
                 stats_->metrics().GetCounter(
-                    MetricName(scope, "send_give_ups")),
-                stats_->metrics().GetCounter("net.retx.bytes")) {}
+                    MetricName(scope, "send_give_ups"))) {}
 
 Status FlowEngine::Init() {
   for (const CoordinationRule* rule : config_->IncomingOf(node_name_)) {

@@ -176,7 +176,7 @@ void QueryManager::Serve(
   // store violates its own constraints.
   if (LocallyInconsistent()) return;
   const CoordinationRule& rule = compiled_incoming_.at(rule_id);
-  QueryState::Serving& serving = state.serving.at(rule_id);
+  const PeerId requester = state.serving.at(rule_id).requester;
   const Overlay& overlay = OverlayOf(state);
 
   m_rule_evals_->Add();
@@ -189,27 +189,21 @@ void QueryManager::Serve(
   std::vector<Tuple> frontiers =
       delta == nullptr ? rule.EvaluateFrontier(overlay)
                        : rule.EvaluateFrontierDeltas(overlay, *delta);
-
-  std::vector<Tuple> fresh;
-  for (Tuple& frontier : frontiers) {
-    if (serving.sent_frontiers.insert(frontier).second) {
-      fresh.push_back(std::move(frontier));
-    }
-  }
-  if (fresh.empty()) return;
+  state.exports.Admit(rule_id, state.export_epoch, /*incremental=*/false,
+                      frontiers);
+  if (frontiers.empty()) return;
 
   QueryResultPayload result;
   result.query = query;
   result.rule_id = rule_id;
-  result.tuples.reserve(fresh.size());
-  for (const Tuple& frontier : fresh) {
+  result.tuples.reserve(frontiers.size());
+  for (const Tuple& frontier : frontiers) {
     rule.InstantiateHeadInto(frontier, *minter_, result.tuples);
   }
   size_t tuple_count = result.tuples.size();
   std::vector<uint8_t> payload = result.Serialize();
   size_t bytes = payload.size() + Message::kHeaderBytes;
-  SendBasic(query, serving.requester, MessageType::kQueryResult,
-            std::move(payload));
+  SendBasic(query, requester, MessageType::kQueryResult, std::move(payload));
   m_results_out_->Add();
 
   UpdateReport& report = stats_->ReportFor(query);
@@ -219,7 +213,7 @@ void QueryManager::Serve(
   ++traffic.messages;
   traffic.tuples += tuple_count;
   traffic.bytes += bytes;
-  report.result_destinations.insert(serving.requester.value);
+  report.result_destinations.insert(requester.value);
 }
 
 void QueryManager::OnResult(const Message& message) {

@@ -37,9 +37,9 @@
 #include <optional>
 #include <set>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
+#include "core/export_memory.h"
 #include "core/flow_engine.h"
 
 namespace codb {
@@ -102,9 +102,14 @@ class QueryManager : public FlowEngine {
     struct Serving {
       PeerId requester;
       std::set<std::vector<uint32_t>> labels;
-      std::unordered_set<Tuple, TupleHash> sent_frontiers;
     };
     std::map<std::string, Serving> serving;
+
+    // What this node shipped for the query, per served rule. The whole
+    // query is one flow with one epoch, so every frontier ships once per
+    // rule, under however many labels the rule was asked for.
+    ExportMemory exports;
+    uint64_t export_epoch = exports.NewEpoch();
 
     // (rule id, label) sub-requests already issued.
     std::set<std::pair<std::string, std::vector<uint32_t>>> requested;

@@ -13,15 +13,13 @@ constexpr int64_t kBackoffFactor = 2;
 
 ReliableSender::ReliableSender(NetworkBase* network,
                                ReliabilityOptions options, GiveUpFn on_give_up,
-                               Counter* retransmits, Counter* give_ups,
-                               Counter* retx_bytes)
+                               Counter* retransmits, Counter* give_ups)
     : shared_(std::make_shared<Shared>()) {
   shared_->network = network;
   shared_->options = options;
   shared_->on_give_up = std::move(on_give_up);
   shared_->retransmits = retransmits;
   shared_->give_ups = give_ups;
-  shared_->retx_bytes = retx_bytes;
 }
 
 Status ReliableSender::Send(Message message, const FlowId& flow, bool basic) {
@@ -90,9 +88,6 @@ void ReliableSender::Arm(const std::shared_ptr<Shared>& shared,
         next_delay = entry.next_backoff_us;
         entry.next_backoff_us *= kBackoffFactor;
         if (shared->retransmits != nullptr) shared->retransmits->Add();
-        if (shared->retx_bytes != nullptr) {
-          shared->retx_bytes->Add(resend.WireSize());
-        }
       }
     }
     if (gave_up) {

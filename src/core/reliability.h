@@ -26,6 +26,10 @@
 // arrive; the manager cancels the corresponding unit of deficit
 // (TerminationDetector::CancelOne) so the flow still terminates — with
 // partial coverage, like a lost pipe.
+//
+// Resends are counted once, as messages (`*.retransmits`); their bytes
+// are the network cost ledger's `retx` class (obs/cost_ledger.h), which
+// the Message::retransmit flag selects.
 
 #ifndef CODB_CORE_RELIABILITY_H_
 #define CODB_CORE_RELIABILITY_H_
@@ -65,14 +69,12 @@ class ReliableSender {
   using GiveUpFn = std::function<void(const FlowId& flow, PeerId dst,
                                       bool basic)>;
 
-  // Counters may be null. All pointers must outlive the sender.
-  // `retx_bytes` accumulates the wire bytes of retransmissions only —
-  // first sends are excluded — so the cost of the reliability layer is
-  // separable from the payload traffic it protects.
+  // Counters may be null. All pointers must outlive the sender. A resend
+  // goes out marked Message::retransmit, so the cost ledger charges its
+  // bytes to the `retx` class, apart from the payload traffic it protects.
   ReliableSender(NetworkBase* network, ReliabilityOptions options,
                  GiveUpFn on_give_up, Counter* retransmits = nullptr,
-                 Counter* give_ups = nullptr,
-                 Counter* retx_bytes = nullptr);
+                 Counter* give_ups = nullptr);
 
   // Stamps the next per-(flow, dst) sequence number, sends, and arms the
   // retransmission timer. With reliability disabled this degrades to a
@@ -113,7 +115,6 @@ class ReliableSender {
     GiveUpFn on_give_up;
     Counter* retransmits = nullptr;
     Counter* give_ups = nullptr;
-    Counter* retx_bytes = nullptr;
     std::map<Key, Pending> pending;
     std::map<std::pair<FlowId, uint32_t>, uint32_t> next_seq;
   };

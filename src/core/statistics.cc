@@ -6,6 +6,23 @@ namespace codb {
 
 namespace {
 
+void WritePeerSet(WireWriter& writer, const std::set<uint32_t>& peers) {
+  writer.WriteU32(static_cast<uint32_t>(peers.size()));
+  for (uint32_t p : peers) writer.WriteU32(p);
+}
+
+Result<std::set<uint32_t>> ReadPeerSet(WireReader& reader) {
+  std::set<uint32_t> peers;
+  CODB_ASSIGN_OR_RETURN(uint32_t count, reader.ReadU32());
+  for (uint32_t i = 0; i < count; ++i) {
+    CODB_ASSIGN_OR_RETURN(uint32_t p, reader.ReadU32());
+    peers.insert(p);
+  }
+  return peers;
+}
+
+}  // namespace
+
 void WriteRuleTraffic(WireWriter& writer,
                       const std::map<std::string, RuleTrafficStats>& stats) {
   writer.WriteU32(static_cast<uint32_t>(stats.size()));
@@ -31,23 +48,6 @@ Result<std::map<std::string, RuleTrafficStats>> ReadRuleTraffic(
   }
   return stats;
 }
-
-void WritePeerSet(WireWriter& writer, const std::set<uint32_t>& peers) {
-  writer.WriteU32(static_cast<uint32_t>(peers.size()));
-  for (uint32_t p : peers) writer.WriteU32(p);
-}
-
-Result<std::set<uint32_t>> ReadPeerSet(WireReader& reader) {
-  std::set<uint32_t> peers;
-  CODB_ASSIGN_OR_RETURN(uint32_t count, reader.ReadU32());
-  for (uint32_t i = 0; i < count; ++i) {
-    CODB_ASSIGN_OR_RETURN(uint32_t p, reader.ReadU32());
-    peers.insert(p);
-  }
-  return peers;
-}
-
-}  // namespace
 
 void UpdateReport::SerializeTo(WireWriter& writer) const {
   writer.WriteU8(static_cast<uint8_t>(update.scope));
@@ -156,11 +156,12 @@ std::vector<uint8_t> StatisticsModule::SerializeAll() const {
   for (const auto& [id, report] : reports_) {
     report.SerializeTo(writer);
   }
-  durability_.SerializeTo(writer);
-  // The cost ledger rides the metrics trailer as cost.* entries; an idle
-  // ledger snapshots to nothing, keeping the payload unchanged.
+  // The cost ledger and the durability counters ride the metrics trailer
+  // as cost.* and storage.* entries; an idle ledger snapshots to nothing,
+  // and a node without durable activity adds no storage.* entry.
   MetricsSnapshot metrics = metrics_.Snapshot();
-  metrics.Merge(cost_.Snapshot());
+  metrics.Merge(cost_.CostSnapshot());
+  if (durability_.Any()) metrics.Merge(durability_.ToSnapshot());
   metrics.SerializeTo(writer);
   return writer.Take();
 }
@@ -177,17 +178,8 @@ Result<StatsBundle> StatisticsModule::DeserializeBundle(
                           UpdateReport::DeserializeFrom(reader));
     bundle.reports.push_back(std::move(report));
   }
-  // Older payloads simply stop early: reports-only bundles lack the
-  // durability trailer, durability-only bundles lack the metrics trailer.
-  // Each trailing section is optional so old snapshots stay readable.
-  if (!reader.AtEnd()) {
-    CODB_ASSIGN_OR_RETURN(bundle.durability,
-                          DurabilityStats::DeserializeFrom(reader));
-  }
-  if (!reader.AtEnd()) {
-    CODB_ASSIGN_OR_RETURN(bundle.metrics,
-                          MetricsSnapshot::DeserializeFrom(reader));
-  }
+  CODB_ASSIGN_OR_RETURN(bundle.metrics,
+                        MetricsSnapshot::DeserializeFrom(reader));
   return bundle;
 }
 

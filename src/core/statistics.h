@@ -36,6 +36,13 @@ struct RuleTrafficStats {
   uint64_t bytes = 0;
 };
 
+// Wire form of a per-rule traffic map (update reports and the
+// super-peers' aggregates).
+void WriteRuleTraffic(WireWriter& writer,
+                      const std::map<std::string, RuleTrafficStats>& stats);
+Result<std::map<std::string, RuleTrafficStats>> ReadRuleTraffic(
+    WireReader& reader);
+
 struct UpdateReport {
   FlowId update;
 
@@ -75,13 +82,11 @@ struct UpdateReport {
   std::string Render() const;
 };
 
-// Everything a kStatsReport payload carries: the per-update reports, the
-// node's durability counters (zero-valued when the node runs without
-// durable storage), and the node's metric registry snapshot (empty on
-// nodes that never touched an instrument).
+// Everything a kStatsReport payload carries: the per-update reports and
+// the node's metrics snapshot — its registry, its cost ledger's `cost.*`
+// entries and its durability counters' `storage.*` entries.
 struct StatsBundle {
   std::vector<UpdateReport> reports;
-  DurabilityStats durability;
   MetricsSnapshot metrics;
 };
 
@@ -112,8 +117,7 @@ class StatisticsModule {
 
   // The node's wire-cost ledger. The node attaches it to the network
   // (NetworkBase::AttachCostLedger) when profiling is enabled; until then
-  // it stays empty and contributes nothing to the serialized bundle, so
-  // the kStatsReport payload is byte-identical to the unprofiled build.
+  // it stays empty and contributes nothing to the serialized bundle.
   CostLedger& cost() { return cost_; }
   const CostLedger& cost() const { return cost_; }
 
@@ -122,8 +126,9 @@ class StatisticsModule {
     reports_.clear();
   }
 
-  // Payload body of a kStatsReport message: every accumulated report plus
-  // the durability counters.
+  // Payload body of a kStatsReport message: every accumulated report,
+  // then the metrics snapshot (the registry, plus the cost ledger and the
+  // durability counters when they counted anything).
   std::vector<uint8_t> SerializeAll() const;
   static Result<StatsBundle> DeserializeBundle(
       const std::vector<uint8_t>& payload);

@@ -17,34 +17,7 @@ namespace {
 constexpr int64_t kConfigRetransmitPeriodUs = 50'000;
 constexpr int kMaxConfigRetransmitRounds = 10;
 
-void WriteRuleTraffic(WireWriter& writer,
-                      const std::map<std::string, RuleTrafficStats>& stats) {
-  writer.WriteU32(static_cast<uint32_t>(stats.size()));
-  for (const auto& [rule, traffic] : stats) {
-    writer.WriteString(rule);
-    writer.WriteU64(traffic.messages);
-    writer.WriteU64(traffic.tuples);
-    writer.WriteU64(traffic.bytes);
-  }
-}
-
-Result<std::map<std::string, RuleTrafficStats>> ReadRuleTraffic(
-    WireReader& reader) {
-  std::map<std::string, RuleTrafficStats> stats;
-  CODB_ASSIGN_OR_RETURN(uint32_t count, reader.ReadU32());
-  for (uint32_t i = 0; i < count; ++i) {
-    CODB_ASSIGN_OR_RETURN(std::string rule, reader.ReadString());
-    RuleTrafficStats traffic;
-    CODB_ASSIGN_OR_RETURN(traffic.messages, reader.ReadU64());
-    CODB_ASSIGN_OR_RETURN(traffic.tuples, reader.ReadU64());
-    CODB_ASSIGN_OR_RETURN(traffic.bytes, reader.ReadU64());
-    stats.emplace(std::move(rule), traffic);
-  }
-  return stats;
-}
-
-// Shared renderer of the per-update aggregate block: the single-super
-// FinalReport and the federated report print updates identically.
+// Renders the per-update aggregate block of the final report.
 std::string RenderAggregates(const std::vector<AggregatedUpdateStats>& aggs) {
   std::string out;
   for (const AggregatedUpdateStats& agg : aggs) {
@@ -408,7 +381,6 @@ Status SuperPeer::RequestStats() {
   {
     std::lock_guard<std::mutex> lock(collected_mutex_);
     collected_.clear();
-    collected_durability_.clear();
     collected_metrics_.clear();
     awaiting_.clear();
     for (PeerId peer : recipients) awaiting_.insert(peer.value);
@@ -556,9 +528,6 @@ void SuperPeer::HandleMessage(const Message& message) {
         std::lock_guard<std::mutex> lock(collected_mutex_);
         const std::string node = network_->NameOf(message.src);
         collected_[node] = std::move(bundle.value().reports);
-        if (bundle.value().durability.Any()) {
-          collected_durability_[node] = bundle.value().durability;
-        }
         if (!bundle.value().metrics.empty()) {
           collected_metrics_[node] = std::move(bundle.value().metrics);
         }
@@ -681,33 +650,6 @@ MetricsSnapshot SuperPeer::FederatedMetrics() const {
 }
 
 std::string SuperPeer::FinalReport() const {
-  std::string out = "===== final statistical report (" +
-                    std::to_string(collected_.size()) + " nodes) =====\n";
-  out += RenderAggregates(Aggregate());
-  if (!collected_durability_.empty()) {
-    DurabilityStats total;
-    for (const auto& [node, stats] : collected_durability_) {
-      total.Add(stats);
-    }
-    out += StrFormat("durability (%zu nodes):\n",
-                     collected_durability_.size());
-    out += total.Render();
-  }
-  MetricsSnapshot metrics = MergedMetrics();
-  metrics.Merge(cost_.Snapshot());
-  if (!collected_metrics_.empty()) {
-    out += StrFormat("metrics (%zu nodes):\n", collected_metrics_.size());
-    out += metrics.Render();
-  }
-  std::string cost = RenderCostBreakdown(metrics);
-  if (!cost.empty()) {
-    out += "wire cost (bytes by class):\n";
-    out += cost;
-  }
-  return out;
-}
-
-std::string SuperPeer::FederatedReport() const {
   size_t nodes = collected_.size();
   size_t supers = 1;
   {
@@ -717,15 +659,18 @@ std::string SuperPeer::FederatedReport() const {
       ++supers;
     }
   }
-  std::string out = StrFormat(
-      "===== federated statistical report (%zu nodes, %zu super-peers) "
-      "=====\n",
-      nodes, supers);
+  std::string out =
+      supers == 1
+          ? StrFormat("===== final statistical report (%zu nodes) =====\n",
+                      nodes)
+          : StrFormat("===== final statistical report (%zu nodes, %zu "
+                      "super-peers) =====\n",
+                      nodes, supers);
   out += RenderAggregates(FederatedAggregate());
   MetricsSnapshot metrics = FederatedMetrics();
-  metrics.Merge(cost_.Snapshot());
+  metrics.Merge(cost_.CostSnapshot());
   if (!metrics.empty()) {
-    out += "metrics (federated):\n";
+    out += StrFormat("metrics (%zu nodes):\n", nodes);
     out += metrics.Render();
   }
   std::string cost = RenderCostBreakdown(metrics);

@@ -135,14 +135,9 @@ class SuperPeer : public NetworkPeer {
   const std::map<std::string, std::vector<UpdateReport>>& collected() const {
     return collected_;
   }
-  // Node name -> durability counters from the same collection (only nodes
-  // whose bundle reported any durable activity appear).
-  const std::map<std::string, DurabilityStats>& collected_durability() const {
-    return collected_durability_;
-  }
-
-  // Node name -> metric registry snapshot from the same collection (only
-  // nodes whose registry had any instruments appear).
+  // Node name -> metrics snapshot from the same collection: the node's
+  // registry plus its `cost.*` and `storage.*` entries (only nodes whose
+  // snapshot had any entry appear).
   const std::map<std::string, MetricsSnapshot>& collected_metrics() const {
     return collected_metrics_;
   }
@@ -153,7 +148,10 @@ class SuperPeer : public NetworkPeer {
   // Aggregates the collected reports per update.
   std::vector<AggregatedUpdateStats> Aggregate() const;
 
-  // The final statistical report of the demo.
+  // The final statistical report of the demo, rendered from the federated
+  // view (FederatedAggregate, FederatedMetrics): this super-peer's region
+  // plus every partner's last digest, or just its region when it has no
+  // partners.
   std::string FinalReport() const;
 
   // -- observability --------------------------------------------------------
@@ -205,9 +203,6 @@ class SuperPeer : public NetworkPeer {
 
   // Own merged metrics merged with every partner's snapshot.
   MetricsSnapshot FederatedMetrics() const;
-
-  // The network-wide final report, rendered from the federated view.
-  std::string FederatedReport() const;
 
   // -- NetworkPeer ----------------------------------------------------------
   void HandleMessage(const Message& message) override;
@@ -288,7 +283,6 @@ class SuperPeer : public NetworkPeer {
                                         // the threaded runtime
   std::set<uint32_t> awaiting_;  // peers the current collection waits on
   std::map<std::string, std::vector<UpdateReport>> collected_;
-  std::map<std::string, DurabilityStats> collected_durability_;
   std::map<std::string, MetricsSnapshot> collected_metrics_;
 
   std::set<uint32_t> federation_peers_;

@@ -8,6 +8,7 @@
 #ifndef CODB_NET_MESSAGE_H_
 #define CODB_NET_MESSAGE_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -59,6 +60,10 @@ enum class MessageType : uint16_t {
   kConfigFetch = 27,
   kConfigAck = 28,
 };
+
+// One past the largest MessageType value: per-type tables (the cost
+// ledger's cells) have this many slots. Raise it with a new type.
+inline constexpr size_t kMessageTypeLimit = 29;
 
 const char* MessageTypeName(MessageType type);
 

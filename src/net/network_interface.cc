@@ -180,20 +180,17 @@ Status NetworkBase::Send(Message message) {
     return Status::Unavailable("no open pipe " + message.src.ToString() +
                                " -> " + message.dst.ToString());
   }
-  stats_.RecordSend(message);
-  RecordCostSend(message);
   FaultInjector::Decision fault = pipe->NextFault();
+  // Charged whatever the draw: a message the injector drops still cost
+  // its sender the bytes.
+  RecordSend(message, fault);
   if (fault.drop) {
-    // The sender cannot tell a dropped message from a delivered one:
-    // Send still succeeds and the bytes were charged above.
-    stats_.RecordInjectedDrop();
+    // The sender cannot tell a dropped message from a delivered one.
     return Status::Ok();
   }
   if (Tracer::Global().enabled()) {
     message.trace_id = Tracer::Global().NoteSend();
   }
-  if (fault.extra_delay_us > 0) stats_.RecordInjectedDelay();
-  if (fault.duplicate) stats_.RecordInjectedDup();
   // A duplicate rides right behind the original on the wire; only the
   // original takes the reorder delay.
   const int64_t now = now_us();
@@ -220,11 +217,9 @@ void NetworkBase::Deliver(const Message& message, int64_t sent_us) {
     if (IsAliveLocked(message.dst) && HasPipeLocked(message.src, message.dst)) {
       handler = peers_[message.dst.value].handler;
     }
-    if (handler == nullptr) {
-      stats_.RecordDrop(message);
-      return;
-    }
   }
+  RecordArrival(message, /*lost=*/handler == nullptr);
+  if (handler == nullptr) return;
   // The sojourn is send-to-dispatch on the now_us() scale: virtual wire
   // time (latency plus bandwidth queueing) on the simulator, wall time
   // including any inbox backlog on the threaded runtime. Service time is
@@ -234,7 +229,6 @@ void NetworkBase::Deliver(const Message& message, int64_t sent_us) {
   const CostClass cls =
       profiling ? ClassifyMessage(message) : CostClass::kData;
   if (profiling) profiler_.RecordSojourn(cls, now_us() - sent_us);
-  RecordCostRecv(message);
   std::chrono::steady_clock::time_point service_start;
   if (profiling) service_start = std::chrono::steady_clock::now();
   Tracer& tracer = Tracer::Global();
@@ -267,22 +261,20 @@ void NetworkBase::DeliverPipeClosed(PeerId peer, PeerId other) {
   if (handler != nullptr) handler->HandlePipeClosed(other);
 }
 
-void NetworkBase::RecordCostSend(const Message& message) {
-  if (!CostEnabled()) return;
-  if (global_ledger_ != nullptr) global_ledger_->RecordSend(message);
-  if (message.src.value < ledgers_.size() &&
-      ledgers_[message.src.value] != nullptr) {
-    ledgers_[message.src.value]->RecordSend(message);
-  }
+void NetworkBase::RecordSend(const Message& message,
+                             const FaultInjector::Decision& fault) {
+  stats_.RecordSend(message);
+  stats_.RecordFaults(fault.drop, fault.duplicate, fault.extra_delay_us > 0);
+  if (CostLedger* own = AttachedLedger(message.src)) own->RecordSend(message);
 }
 
-void NetworkBase::RecordCostRecv(const Message& message) {
-  if (!CostEnabled()) return;
-  if (global_ledger_ != nullptr) global_ledger_->RecordRecv(message);
-  if (message.dst.value < ledgers_.size() &&
-      ledgers_[message.dst.value] != nullptr) {
-    ledgers_[message.dst.value]->RecordRecv(message);
+void NetworkBase::RecordArrival(const Message& message, bool lost) {
+  if (lost) {
+    stats_.RecordDrop();
+    return;
   }
+  stats_.RecordRecv(message);
+  if (CostLedger* own = AttachedLedger(message.dst)) own->RecordRecv(message);
 }
 
 }  // namespace codb

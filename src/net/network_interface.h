@@ -8,10 +8,11 @@
 //     that the protocols do not depend on simulator determinism.
 //
 // NetworkBase is the transport core both share: the peer and pipe tables,
-// the fault profiles, Send (validation, accounting, fault draw, trace id,
-// arrival model) and delivery (in-flight loss check, receive accounting,
-// profiler, `net.deliver` span). A runtime supplies only the clock, the
-// scheduling of messages and timers, and the run loop.
+// the fault profiles, the cost ledger, Send (validation, fault draw,
+// accounting, trace id, arrival model) and delivery (in-flight loss
+// check, receive accounting, profiler, `net.deliver` span). A runtime
+// supplies only the clock, the scheduling of messages and timers, and the
+// run loop.
 //
 // Threading contract: each peer's messages are delivered sequentially (a
 // peer never handles two messages concurrently), distinct peers run
@@ -23,7 +24,6 @@
 #ifndef CODB_NET_NETWORK_INTERFACE_H_
 #define CODB_NET_NETWORK_INTERFACE_H_
 
-#include <atomic>
 #include <functional>
 #include <map>
 #include <memory>
@@ -35,7 +35,6 @@
 #include "net/message.h"
 #include "net/peer_id.h"
 #include "net/pipe.h"
-#include "net/transport_stats.h"
 #include "obs/cost_ledger.h"
 #include "obs/queue_profiler.h"
 #include "util/status.h"
@@ -99,8 +98,8 @@ class NetworkBase {
   // -- traffic ----------------------------------------------------------------
 
   // Puts `message` on the pipe src->dst. Fails with kUnavailable if the
-  // sender is dead or no open pipe exists. The send is charged before the
-  // fault draw, so a message the injector drops still counts.
+  // sender is dead or no open pipe exists. The send is charged whatever
+  // the fault draw, so a message the injector drops still counts.
   Status Send(Message message);
 
   virtual void ScheduleAt(int64_t time_us, std::function<void()> action) = 0;
@@ -139,36 +138,23 @@ class NetworkBase {
     return RunUntil(now_us() + duration_us);
   }
 
-  // Read while the network is quiescent.
-  TransportStats& stats() { return stats_; }
-  const TransportStats& stats() const { return stats_; }
+  // The network's cost ledger (obs/cost_ledger.h): every message sent,
+  // delivered or lost, per wire type and per cost class. Always on.
+  CostLedger& stats() { return stats_; }
+  const CostLedger& stats() const { return stats_; }
 
   // -- observability (DESIGN.md §12) ---------------------------------------
-  // Cost ledgers are attach-based and off by default: until one is
-  // attached, every dispatch pays one relaxed atomic load + branch and
-  // nothing else. Attach while the network is quiescent (setup time) —
-  // the ledger table itself is not guarded.
-  //
-  // Per-peer ledger: the core records the send side of every message
-  // whose src is `id` and the receive side of every delivery to `id`.
-  // Nodes attach their statistical module's ledger here so the per-class
-  // byte breakdown rides the kStatsReport trailer.
+  // Per-peer ledger: besides the network's own ledger, the core records
+  // the send side of every message whose src is `id` into `ledger`, and
+  // the receive side of every delivery to `id`. Nodes attach their
+  // statistical module's ledger here so the per-class byte breakdown
+  // rides the kStatsReport trailer. Attach while the network is quiescent
+  // (setup time): the ledger table itself is not guarded.
   void AttachCostLedger(PeerId id, CostLedger* ledger) {
     if (!id.valid()) return;
     if (ledgers_.size() <= id.value) ledgers_.resize(id.value + 1, nullptr);
     ledgers_[id.value] = ledger;
-    cost_enabled_.store(true, std::memory_order_release);
   }
-
-  // Network-wide ledger: every send/delivery is recorded regardless of
-  // endpoint. Benches use this for exact totals without a collection.
-  void SetGlobalCostLedger(CostLedger* ledger) {
-    global_ledger_ = ledger;
-    if (ledger != nullptr) {
-      cost_enabled_.store(true, std::memory_order_release);
-    }
-  }
-  CostLedger* global_cost_ledger() const { return global_ledger_; }
 
   // The event-loop profiler; call profiler().Enable() to turn it on.
   QueueProfiler& profiler() { return profiler_; }
@@ -201,9 +187,9 @@ class NetworkBase {
   void Deliver(const Message& message, int64_t sent_us);
   void DeliverPipeClosed(PeerId peer, PeerId other);
 
-  // Guards the peer and pipe tables, the default fault profile and the
-  // transport counters; the threaded runtime also guards its inboxes and
-  // timers with it. Never held while a peer's handler runs.
+  // Guards the peer and pipe tables and the default fault profile; the
+  // threaded runtime also guards its inboxes and timers with it. Never
+  // held while a peer's handler runs.
   mutable std::mutex mu_;
   QueueProfiler profiler_;
 
@@ -220,11 +206,18 @@ class NetworkBase {
   Pipe* FindPipeLocked(PeerId from, PeerId to);
   bool HasPipeLocked(PeerId from, PeerId to) const;
 
-  bool CostEnabled() const {
-    return cost_enabled_.load(std::memory_order_acquire);
+  // The one recording call of Send: charges `message` and the faults
+  // drawn for it to the network's ledger, and the send to the sender's
+  // attached ledger.
+  void RecordSend(const Message& message,
+                  const FaultInjector::Decision& fault);
+  // The one recording call of Deliver: charges a delivery to the
+  // network's ledger and the receiver's attached ledger, or a loss in
+  // flight (`lost`) to the network's.
+  void RecordArrival(const Message& message, bool lost);
+  CostLedger* AttachedLedger(PeerId id) const {
+    return id.value < ledgers_.size() ? ledgers_[id.value] : nullptr;
   }
-  void RecordCostSend(const Message& message);
-  void RecordCostRecv(const Message& message);
 
   std::vector<PeerEntry> peers_;
   std::map<std::pair<uint32_t, uint32_t>, Pipe> pipes_;
@@ -233,11 +226,8 @@ class NetworkBase {
   // ticks costing O(E) and O(n·E) per period at thousand-peer scale.
   std::vector<std::set<uint32_t>> adjacency_;
   FaultProfile default_fault_;
-  TransportStats stats_;
-
-  std::vector<CostLedger*> ledgers_;
-  CostLedger* global_ledger_ = nullptr;
-  std::atomic<bool> cost_enabled_{false};
+  CostLedger stats_;
+  std::vector<CostLedger*> ledgers_;  // by peer id; null when unattached
 };
 
 }  // namespace codb

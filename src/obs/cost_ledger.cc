@@ -59,48 +59,129 @@ CostClass ClassifyMessage(MessageType type, bool retransmit) {
   return CostClass::kControl;
 }
 
+namespace {
+
+size_t SlotOf(MessageType type) {
+  const size_t raw = static_cast<size_t>(type);
+  return raw < kMessageTypeLimit ? raw : 0;
+}
+
+}  // namespace
+
+void CostLedger::Record(Cells& cells, const Message& message) {
+  Cell& cell = cells[SlotOf(message.type)][message.retransmit ? 1 : 0];
+  cell.messages.fetch_add(1, std::memory_order_relaxed);
+  cell.bytes.fetch_add(message.WireSize(), std::memory_order_relaxed);
+}
+
 void CostLedger::RecordSend(const Message& message) {
-  const size_t cls = static_cast<size_t>(ClassifyMessage(message));
-  sent_[cls].messages.fetch_add(1, std::memory_order_relaxed);
-  sent_[cls].bytes.fetch_add(message.WireSize(), std::memory_order_relaxed);
+  Record(sent_, message);
 }
 
 void CostLedger::RecordRecv(const Message& message) {
-  const size_t cls = static_cast<size_t>(ClassifyMessage(message));
-  recv_[cls].messages.fetch_add(1, std::memory_order_relaxed);
-  recv_[cls].bytes.fetch_add(message.WireSize(),
-                             std::memory_order_relaxed);
+  Record(recv_, message);
+}
+
+void CostLedger::RecordFaults(bool drop, bool duplicate, bool delay) {
+  if (drop) injected_drops_.fetch_add(1, std::memory_order_relaxed);
+  if (duplicate) injected_dups_.fetch_add(1, std::memory_order_relaxed);
+  if (delay) injected_delays_.fetch_add(1, std::memory_order_relaxed);
+}
+
+CostLedger::Totals CostLedger::Sum(const Cells& cells, CostClass cls) {
+  Totals totals;
+  for (size_t slot = 0; slot < kMessageTypeLimit; ++slot) {
+    for (size_t retx = 0; retx < 2; ++retx) {
+      if (ClassifyMessage(static_cast<MessageType>(slot), retx != 0) != cls) {
+        continue;
+      }
+      totals.messages +=
+          cells[slot][retx].messages.load(std::memory_order_relaxed);
+      totals.bytes += cells[slot][retx].bytes.load(std::memory_order_relaxed);
+    }
+  }
+  return totals;
 }
 
 CostLedger::Totals CostLedger::Sent(CostClass cls) const {
-  const Cell& cell = sent_[static_cast<size_t>(cls)];
-  return {cell.messages.load(std::memory_order_relaxed),
-          cell.bytes.load(std::memory_order_relaxed)};
+  return Sum(sent_, cls);
 }
 
 CostLedger::Totals CostLedger::Received(CostClass cls) const {
-  const Cell& cell = recv_[static_cast<size_t>(cls)];
-  return {cell.messages.load(std::memory_order_relaxed),
-          cell.bytes.load(std::memory_order_relaxed)};
+  return Sum(recv_, cls);
 }
 
-uint64_t CostLedger::TotalSentBytes() const {
+uint64_t CostLedger::MessagesOfType(MessageType type) const {
+  const auto& cells = sent_[SlotOf(type)];
+  return cells[0].messages.load(std::memory_order_relaxed) +
+         cells[1].messages.load(std::memory_order_relaxed);
+}
+
+uint64_t CostLedger::BytesOfType(MessageType type) const {
+  const auto& cells = sent_[SlotOf(type)];
+  return cells[0].bytes.load(std::memory_order_relaxed) +
+         cells[1].bytes.load(std::memory_order_relaxed);
+}
+
+uint64_t CostLedger::total_messages() const {
   uint64_t total = 0;
-  for (const Cell& cell : sent_) {
-    total += cell.bytes.load(std::memory_order_relaxed);
+  for (size_t slot = 0; slot < kMessageTypeLimit; ++slot) {
+    total += MessagesOfType(static_cast<MessageType>(slot));
+  }
+  return total;
+}
+
+uint64_t CostLedger::total_bytes() const {
+  uint64_t total = 0;
+  for (size_t slot = 0; slot < kMessageTypeLimit; ++slot) {
+    total += BytesOfType(static_cast<MessageType>(slot));
   }
   return total;
 }
 
 bool CostLedger::empty() const {
-  for (size_t c = 0; c < kCostClassCount; ++c) {
-    if (sent_[c].messages.load(std::memory_order_relaxed) != 0) return false;
-    if (recv_[c].messages.load(std::memory_order_relaxed) != 0) return false;
+  for (size_t slot = 0; slot < kMessageTypeLimit; ++slot) {
+    for (size_t retx = 0; retx < 2; ++retx) {
+      if (sent_[slot][retx].messages.load(std::memory_order_relaxed) != 0 ||
+          recv_[slot][retx].messages.load(std::memory_order_relaxed) != 0) {
+        return false;
+      }
+    }
   }
   return true;
 }
 
 MetricsSnapshot CostLedger::Snapshot() const {
+  MetricsSnapshot snapshot;
+  snapshot.SetCounter("net.messages", total_messages());
+  snapshot.SetCounter("net.bytes", total_bytes());
+  snapshot.SetCounter("net.dropped", dropped_messages());
+  snapshot.SetCounter("net.fault.drops", injected_drops());
+  snapshot.SetCounter("net.fault.dups", injected_dups());
+  snapshot.SetCounter("net.fault.delays", injected_delays());
+  for (size_t slot = 0; slot < kMessageTypeLimit; ++slot) {
+    const MessageType type = static_cast<MessageType>(slot);
+    const uint64_t messages = MessagesOfType(type);
+    if (messages == 0) continue;
+    snapshot.SetCounter(std::string("net.msgs.") + MessageTypeName(type),
+                        messages);
+    snapshot.SetCounter(std::string("net.bytes.") + MessageTypeName(type),
+                        BytesOfType(type));
+  }
+  return snapshot;
+}
+
+std::string CostLedger::Report() const {
+  std::string out = StrFormat(
+      "transport: %llu messages, %s total, %llu dropped\n",
+      static_cast<unsigned long long>(total_messages()),
+      HumanBytes(total_bytes()).c_str(),
+      static_cast<unsigned long long>(dropped_messages()));
+  out += Snapshot().Render();
+  return out;
+}
+
+MetricsSnapshot CostLedger::CostSnapshot() const {
   MetricsSnapshot snapshot;
   for (size_t c = 0; c < kCostClassCount; ++c) {
     const char* name = CostClassName(static_cast<CostClass>(c));

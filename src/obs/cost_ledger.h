@@ -1,26 +1,22 @@
-// Wire-cost ledger (DESIGN.md §12): attributes every byte the network
-// carries to the subsystem that caused it.
+// Wire-cost ledger (DESIGN.md §12): the one count of what the network
+// carries, per message type and per subsystem class.
 //
 // PR 2's metrics count messages per wire type; the scale sweeps (E14)
 // showed that the quantities worth optimizing are per-*subsystem* byte
 // volumes — the O(n²) config broadcast, discovery's announcement flood,
 // retransmission waste — which cut across message types and directions.
-// The ledger classifies each sent/received message into a CostClass and
-// accounts bytes + counts per class and per direction, entirely with
-// relaxed atomics so an attached ledger stays off the critical path.
+// The ledger keeps one cell per (wire type, retransmit flag) and
+// direction, entirely in relaxed atomics; the per-type accessors and the
+// per-class totals read the same cells, so the two views cannot drift.
 //
-// Deployment shape: every node owns one ledger inside its statistical
-// module; the network core (NetworkBase::Send and Deliver in
-// net/network_interface.cc) records the send side into the source's
-// ledger and the receive side into the destination's. Snapshot() emits
-// plain `cost.*` counters into a MetricsSnapshot, so the per-node
-// breakdown rides the existing kStatsReport trailer unchanged and merges
-// network-wide through the super-peer exactly like every other metric. A
-// network-wide ledger can additionally be installed for benches that
-// want totals without a stats collection (NetworkBase::SetGlobalCostLedger).
-//
-// Off-by-default-cheap: nothing here runs unless a ledger is attached —
-// the core guards recording behind one atomic flag load.
+// Deployment shape: the network core owns one ledger that is always on
+// (NetworkBase::stats(), recorded in NetworkBase::Send and Deliver in
+// net/network_interface.cc). A node or super-peer may attach its own
+// ledger; the core then also records the send side of the endpoint's
+// messages into it, and the receive side of deliveries to it.
+// CostSnapshot() emits plain `cost.*` counters into a MetricsSnapshot, so
+// a node's breakdown rides the kStatsReport trailer unchanged and merges
+// network-wide through the super-peer exactly like every other metric.
 
 #ifndef CODB_OBS_COST_LEDGER_H_
 #define CODB_OBS_COST_LEDGER_H_
@@ -69,34 +65,80 @@ class CostLedger {
   CostLedger(const CostLedger&) = delete;
   CostLedger& operator=(const CostLedger&) = delete;
 
-  // Hot path: per-class cells are relaxed atomics, no lock.
+  // Hot path: relaxed atomics, no lock.
   void RecordSend(const Message& message);
   void RecordRecv(const Message& message);
+  // A message lost in flight: its destination left or its pipe closed
+  // while it was on the wire.
+  void RecordDrop() { dropped_.fetch_add(1, std::memory_order_relaxed); }
+  // The faults the injector (net/fault.h) drew for one send. Distinct
+  // from RecordDrop: an injected drop never reaches the wire.
+  void RecordFaults(bool drop, bool duplicate, bool delay);
 
+  // -- per class ----------------------------------------------------------
   Totals Sent(CostClass cls) const;
   Totals Received(CostClass cls) const;
   uint64_t SentBytes(CostClass cls) const { return Sent(cls).bytes; }
-  uint64_t ReceivedBytes(CostClass cls) const { return Received(cls).bytes; }
-  uint64_t TotalSentBytes() const;
 
-  // True when nothing was ever recorded.
+  // -- per wire type, sent side (a resend counts in its own type too) -----
+  uint64_t MessagesOfType(MessageType type) const;
+  uint64_t BytesOfType(MessageType type) const;
+  uint64_t total_messages() const;
+  uint64_t total_bytes() const;
+  uint64_t dropped_messages() const {
+    return dropped_.load(std::memory_order_relaxed);
+  }
+  uint64_t injected_drops() const {
+    return injected_drops_.load(std::memory_order_relaxed);
+  }
+  uint64_t injected_dups() const {
+    return injected_dups_.load(std::memory_order_relaxed);
+  }
+  uint64_t injected_delays() const {
+    return injected_delays_.load(std::memory_order_relaxed);
+  }
+
+  // True when no message was ever sent or received.
   bool empty() const;
 
-  // The export form: `cost.sent.<class>.bytes`, `cost.sent.<class>.msgs`,
-  // `cost.recv.<class>.bytes`, `cost.recv.<class>.msgs` counters, only
-  // for classes with traffic — an idle ledger snapshots to nothing, so
-  // kStatsReport payloads are byte-identical until profiling is enabled.
+  // The transport view: net.messages / net.bytes / net.dropped,
+  // net.fault.{drops,dups,delays}, plus net.msgs.<TYPE> and
+  // net.bytes.<TYPE> per message type sent.
   MetricsSnapshot Snapshot() const;
+
+  // Multi-line per-type breakdown, rendered from Snapshot() so the human
+  // and machine-readable views cannot drift.
+  std::string Report() const;
+
+  // The per-class export form: `cost.sent.<class>.bytes`,
+  // `cost.sent.<class>.msgs`, `cost.recv.<class>.bytes`,
+  // `cost.recv.<class>.msgs` counters, only for classes with traffic — an
+  // idle ledger snapshots to nothing, so kStatsReport payloads are
+  // byte-identical until a node attaches its ledger.
+  MetricsSnapshot CostSnapshot() const;
 
  private:
   struct Cell {
     std::atomic<uint64_t> messages{0};
     std::atomic<uint64_t> bytes{0};
   };
+  // One cell per wire type value (slot 0 takes any unknown type) and
+  // retransmit flag.
+  using Cells = std::array<std::array<Cell, 2>, kMessageTypeLimit>;
 
-  std::array<Cell, kCostClassCount> sent_;
-  std::array<Cell, kCostClassCount> recv_;
+  static void Record(Cells& cells, const Message& message);
+  static Totals Sum(const Cells& cells, CostClass cls);
+
+  Cells sent_;
+  Cells recv_;
+  std::atomic<uint64_t> dropped_{0};
+  std::atomic<uint64_t> injected_drops_{0};
+  std::atomic<uint64_t> injected_dups_{0};
+  std::atomic<uint64_t> injected_delays_{0};
 };
+
+// The network's traffic counts (NetworkBase::stats()) are its ledger.
+using TransportStats = CostLedger;
 
 // Renders the `cost.*` entries of a (possibly node-merged) snapshot as a
 // per-class table with a percent-of-total column; empty string when the

@@ -7,11 +7,15 @@
 // MetricsSnapshot is the uniform frozen/serializable/mergeable form every
 // export path speaks: the kStatsReport trailer the super-peer aggregates,
 // the human-readable text reports, and the machine-readable JSON the
-// benches emit all render the SAME snapshot, so they cannot drift.
+// benches emit all render the SAME snapshot, so they cannot drift. The
+// trailer is the only way a node's counters reach a super-peer: besides
+// the registry it carries the node's cost ledger (`cost.*`) and durability
+// counters (`storage.*`), merged in by StatisticsModule::SerializeAll.
 //
 // Metric naming scheme (dotted, lowercase): `<subsystem>.<what>[.<detail>]`
-//   net.messages, net.bytes, net.msgs.UPDATE_DATA, update.data_msgs_in,
-//   query.results_in, storage.wal.records, update.handler_us (histogram).
+//   net.messages, net.bytes, net.msgs.UPDATE_DATA (the network's cost
+//   ledger, obs/cost_ledger.h), update.data_msgs_in, query.results_in,
+//   storage.wal.records, update.handler_us (histogram).
 // Histograms are log2-bucketed: bucket 0 holds the value 0, bucket i>0
 // holds values in [2^(i-1), 2^i).
 

@@ -1,7 +1,5 @@
 #include "storage/durability_stats.h"
 
-#include "util/string_util.h"
-
 namespace codb {
 
 bool DurabilityStats::Any() const {
@@ -12,53 +10,6 @@ bool DurabilityStats::Any() const {
          recovered_wal_records != 0 || torn_tails_truncated != 0;
 }
 
-void DurabilityStats::Add(const DurabilityStats& other) {
-  wal_records_appended += other.wal_records_appended;
-  wal_bytes_appended += other.wal_bytes_appended;
-  wal_segments_created += other.wal_segments_created;
-  wal_append_failures += other.wal_append_failures;
-  checkpoints_written += other.checkpoints_written;
-  checkpoint_bytes_written += other.checkpoint_bytes_written;
-  recoveries += other.recoveries;
-  recovered_checkpoint_tuples += other.recovered_checkpoint_tuples;
-  recovered_wal_records += other.recovered_wal_records;
-  torn_tails_truncated += other.torn_tails_truncated;
-  checkpoint_wall_micros += other.checkpoint_wall_micros;
-  recovery_wall_micros += other.recovery_wall_micros;
-}
-
-void DurabilityStats::SerializeTo(WireWriter& writer) const {
-  writer.WriteU64(wal_records_appended);
-  writer.WriteU64(wal_bytes_appended);
-  writer.WriteU64(wal_segments_created);
-  writer.WriteU64(wal_append_failures);
-  writer.WriteU64(checkpoints_written);
-  writer.WriteU64(checkpoint_bytes_written);
-  writer.WriteU64(recoveries);
-  writer.WriteU64(recovered_checkpoint_tuples);
-  writer.WriteU64(recovered_wal_records);
-  writer.WriteU64(torn_tails_truncated);
-  writer.WriteDouble(checkpoint_wall_micros);
-  writer.WriteDouble(recovery_wall_micros);
-}
-
-Result<DurabilityStats> DurabilityStats::DeserializeFrom(WireReader& reader) {
-  DurabilityStats stats;
-  CODB_ASSIGN_OR_RETURN(stats.wal_records_appended, reader.ReadU64());
-  CODB_ASSIGN_OR_RETURN(stats.wal_bytes_appended, reader.ReadU64());
-  CODB_ASSIGN_OR_RETURN(stats.wal_segments_created, reader.ReadU64());
-  CODB_ASSIGN_OR_RETURN(stats.wal_append_failures, reader.ReadU64());
-  CODB_ASSIGN_OR_RETURN(stats.checkpoints_written, reader.ReadU64());
-  CODB_ASSIGN_OR_RETURN(stats.checkpoint_bytes_written, reader.ReadU64());
-  CODB_ASSIGN_OR_RETURN(stats.recoveries, reader.ReadU64());
-  CODB_ASSIGN_OR_RETURN(stats.recovered_checkpoint_tuples, reader.ReadU64());
-  CODB_ASSIGN_OR_RETURN(stats.recovered_wal_records, reader.ReadU64());
-  CODB_ASSIGN_OR_RETURN(stats.torn_tails_truncated, reader.ReadU64());
-  CODB_ASSIGN_OR_RETURN(stats.checkpoint_wall_micros, reader.ReadDouble());
-  CODB_ASSIGN_OR_RETURN(stats.recovery_wall_micros, reader.ReadDouble());
-  return stats;
-}
-
 MetricsSnapshot DurabilityStats::ToSnapshot() const {
   MetricsSnapshot snapshot;
   snapshot.SetCounter("storage.wal.records", wal_records_appended);
@@ -67,21 +18,17 @@ MetricsSnapshot DurabilityStats::ToSnapshot() const {
   snapshot.SetCounter("storage.wal.append_failures", wal_append_failures);
   snapshot.SetCounter("storage.checkpoints", checkpoints_written);
   snapshot.SetCounter("storage.checkpoint.bytes", checkpoint_bytes_written);
-  snapshot.SetGauge("storage.checkpoint.wall_us",
-                    static_cast<int64_t>(checkpoint_wall_micros));
+  snapshot.SetCounter("storage.checkpoint.wall_us",
+                      static_cast<uint64_t>(checkpoint_wall_micros));
   snapshot.SetCounter("storage.recoveries", recoveries);
   snapshot.SetCounter("storage.recovered.checkpoint_tuples",
                       recovered_checkpoint_tuples);
   snapshot.SetCounter("storage.recovered.wal_records",
                       recovered_wal_records);
   snapshot.SetCounter("storage.torn_tails", torn_tails_truncated);
-  snapshot.SetGauge("storage.recovery.wall_us",
-                    static_cast<int64_t>(recovery_wall_micros));
+  snapshot.SetCounter("storage.recovery.wall_us",
+                      static_cast<uint64_t>(recovery_wall_micros));
   return snapshot;
-}
-
-std::string DurabilityStats::Render() const {
-  return ToSnapshot().Render();
 }
 
 }  // namespace codb

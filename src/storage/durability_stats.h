@@ -1,16 +1,14 @@
 // Counters and timings of the durable-storage subsystem, accumulated per
-// node and shipped to the super-peer inside the kStatsReport payload
-// (core/statistics.h embeds one of these next to the update reports).
+// node. They reach the super-peer as `storage.*` entries of the node's
+// metrics snapshot (core/statistics.cc merges ToSnapshot() into the
+// kStatsReport trailer).
 
 #ifndef CODB_STORAGE_DURABILITY_STATS_H_
 #define CODB_STORAGE_DURABILITY_STATS_H_
 
 #include <cstdint>
-#include <string>
 
 #include "obs/metrics.h"
-#include "relation/wire.h"
-#include "util/status.h"
 
 namespace codb {
 
@@ -28,21 +26,13 @@ struct DurabilityStats {
   double checkpoint_wall_micros = 0;
   double recovery_wall_micros = 0;
 
-  // True once any durable activity happened (gates report sections).
+  // True once any durable activity happened (gates the snapshot).
   bool Any() const;
 
-  void Add(const DurabilityStats& other);
-
-  void SerializeTo(WireWriter& writer) const;
-  static Result<DurabilityStats> DeserializeFrom(WireReader& reader);
-
-  // Uniform snapshot form under storage.* names; wall timings become
-  // storage.*.wall_us gauges (rounded to whole microseconds).
+  // Uniform snapshot form under storage.* names. Every entry is a
+  // counter, so merging nodes sums them — the wall timings too
+  // (storage.*.wall_us, rounded to whole microseconds).
   MetricsSnapshot ToSnapshot() const;
-
-  // Indented human-readable block for node and super-peer reports,
-  // rendered from ToSnapshot() so human and machine views cannot drift.
-  std::string Render() const;
 };
 
 }  // namespace codb

@@ -23,11 +23,8 @@ Result<std::unique_ptr<Testbed>> Testbed::Create(
   }
   // Profiling goes on before anything joins or sends, so discovery and
   // the config broadcast below — the O(n²) settle traffic the cost model
-  // exists to expose — are fully accounted.
-  if (options.profiling) {
-    testbed->network_->SetGlobalCostLedger(&testbed->cost_);
-    testbed->network_->profiler().Enable();
-  }
+  // exists to expose — are fully profiled.
+  if (options.profiling) testbed->network_->profiler().Enable();
 
   for (const NodeDecl& decl : generated.config.nodes()) {
     CODB_RETURN_IF_ERROR(testbed->SpawnNode(decl, /*seed=*/true).status());

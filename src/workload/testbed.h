@@ -1,7 +1,8 @@
 // Testbed: stands up a complete simulated coDB deployment from a generated
 // (or hand-written) network description — nodes, seed data, super-peer(s),
 // config broadcast — ready for experiments. Shared by the test suite, the
-// benchmark harness and the examples.
+// benchmark harness and the examples. Its traffic counts are the
+// network's cost ledger (cost()), whatever Options::profiling says.
 
 #ifndef CODB_WORKLOAD_TESTBED_H_
 #define CODB_WORKLOAD_TESTBED_H_
@@ -45,19 +46,18 @@ class Testbed {
     // and eviction fire.
     bool membership = false;
     MembershipOptions membership_options;
-    // Observability (DESIGN.md §12): when true, a testbed-wide cost
-    // ledger is attached as the network's global ledger, every node and
-    // super-peer attaches its own ledger, and the event-loop profiler is
-    // enabled — all BEFORE the config broadcast, so the O(n²) settle
-    // traffic is accounted. Off by default: the unprofiled deployment
-    // pays one atomic load per dispatch and nothing else.
+    // Observability (DESIGN.md §12): when true, every node and
+    // super-peer attaches its own cost ledger and the event-loop profiler
+    // is enabled — all BEFORE the config broadcast, so the O(n²) settle
+    // traffic is accounted per peer. The network's own ledger (cost())
+    // counts every message either way; this changes none of its counts.
     bool profiling = false;
     // Number of federated super-peers. 1 (the default) is the historical
     // single super-peer owning the whole network. With S > 1 the node
     // declarations are split into S contiguous regions, each owned by one
     // super-peer; the supers exchange kFederationReport digests after a
     // collection, so CollectStats still yields the network-wide view
-    // (from any super via FederatedAggregate/FederatedReport).
+    // (from any super via FederatedAggregate/FinalReport).
     int super_peers = 1;
   };
 
@@ -75,11 +75,10 @@ class Testbed {
   Testbed& operator=(const Testbed&) = delete;
 
   NetworkBase& network() { return *network_; }
-  // The testbed-wide ledger (meaningful when Options::profiling is on):
-  // every message on the network, classified and accounted, without
-  // needing a stats collection.
-  CostLedger& cost() { return cost_; }
-  const CostLedger& cost() const { return cost_; }
+  // The network's cost ledger: every message on the network, classified
+  // and accounted, without needing a stats collection.
+  CostLedger& cost() { return network_->stats(); }
+  const CostLedger& cost() const { return network_->stats(); }
   SuperPeer& super_peer() { return *super_peers_.front(); }
   SuperPeer& super_peer(size_t i) { return *super_peers_[i]; }
   size_t super_peer_count() const { return super_peers_.size(); }
@@ -89,6 +88,11 @@ class Testbed {
 
   Node* node(const std::string& name);
   const std::vector<std::unique_ptr<Node>>& nodes() const { return nodes_; }
+  // Nodes taken down by KillNode or SilentKillNode, in kill order. A
+  // silently killed node is still on the network and may still send.
+  const std::vector<std::unique_ptr<Node>>& killed_nodes() const {
+    return graveyard_;
+  }
 
   // Runs a global update from `initiator` to completion (network
   // quiescence) and returns the update id.
@@ -153,7 +157,6 @@ class Testbed {
   GeneratedNetwork generated_;
   Options options_;
   std::unique_ptr<NetworkBase> network_;
-  CostLedger cost_;  // global wire-cost ledger (Options::profiling)
   std::vector<std::unique_ptr<Node>> nodes_;
   std::map<std::string, Node*> by_name_;
   std::vector<std::unique_ptr<Node>> graveyard_;  // killed nodes

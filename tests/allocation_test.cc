@@ -2,7 +2,8 @@
 // insert into an indexed relation, a frontier the export memory records
 // and a distinct frontier an evaluation emits each cost no heap
 // allocation of their own. Only growth steps allocate, so a run of N
-// costs O(log N) allocations, not O(N).
+// costs O(log N) allocations, not O(N). A frontier a distributed query
+// serves goes through the same export memory, so it costs none either.
 //
 // The binary replaces the global operator new with one that counts its
 // calls; nothing else in it allocates while a count runs.
@@ -18,6 +19,8 @@
 #include "query/evaluator.h"
 #include "query/parser.h"
 #include "relation/database.h"
+#include "workload/testbed.h"
+#include "workload/topology_gen.h"
 
 namespace {
 std::atomic<size_t> g_allocations{0};
@@ -131,6 +134,38 @@ TEST(AllocationTest, EvaluateAllocatesOnlyToGrow) {
   });
   EXPECT_EQ(frontiers, static_cast<size_t>(kRun));
   EXPECT_LT(allocations, kMaxAllocations);
+}
+
+TEST(AllocationTest, ServedQueryFrontiersAllocateOnlyToGrow) {
+  // n0 <- n1 with a copy rule, materialised: n1 then serves a distributed
+  // query from n0 with all its rows, which n0 finds already stored.
+  constexpr int kFrontiers = 10'000;
+  WorkloadOptions options;
+  options.nodes = 2;
+  options.tuples_per_node = kFrontiers;
+  Result<std::unique_ptr<Testbed>> testbed =
+      Testbed::Create(MakeChain(options));
+  ASSERT_TRUE(testbed.ok()) << testbed.status().ToString();
+  Testbed& bed = *testbed.value();
+  ASSERT_TRUE(bed.RunGlobalUpdate("n0").ok());
+  Node* n0 = bed.node("n0");
+  const ConjunctiveQuery query = ParseQuery("q(K, V) :- d(K, V).").value();
+
+  Result<FlowId> id = Status::Internal("not started");
+  const size_t allocations = AllocationsOf([&] {
+    id = n0->StartQuery(query);
+    bed.network().Run();
+  });
+  ASSERT_TRUE(id.ok()) << id.status().ToString();
+  ASSERT_TRUE(n0->QueryDone(id.value()));
+  const UpdateReport* served =
+      bed.node("n1")->statistics().FindReport(id.value());
+  ASSERT_NE(served, nullptr);
+  EXPECT_EQ(served->data_messages_sent, 1u);
+  ASSERT_EQ(served->sent_per_rule.size(), 1u);
+  EXPECT_EQ(served->sent_per_rule.begin()->second.tuples,
+            static_cast<uint64_t>(kFrontiers));
+  EXPECT_LT(allocations, static_cast<size_t>(kFrontiers / 10));
 }
 
 }  // namespace

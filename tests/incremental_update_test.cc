@@ -626,7 +626,7 @@ TEST(IncrementalTrafficTest, DeltaEngagesOnlyItsPathToTheRoot) {
   const Tuple row{Value::Int(11 * 10000 + 5000), Value::Int(7)};
   ASSERT_TRUE(bed->node("n11")->InsertLocal("d", {row}).ok());
 
-  const TransportStats& stats = bed->network().stats();
+  const CostLedger& stats = bed->network().stats();
   const std::vector<MessageType> types = {
       MessageType::kUpdateRequest, MessageType::kLinkClosed,
       MessageType::kUpdateData, MessageType::kUpdateAck,

@@ -5,7 +5,7 @@
 
 #include "net/message.h"
 #include "net/pipe.h"
-#include "net/transport_stats.h"
+#include "obs/cost_ledger.h"
 #include "relation/printer.h"
 #include "util/logging.h"
 #include "util/stopwatch.h"
@@ -73,24 +73,29 @@ TEST(TransportStatsTest, ReportBreaksDownByType) {
   Message ack;
   ack.type = MessageType::kUpdateAck;
   stats.RecordSend(ack);
-  stats.RecordDrop(ack);
+  stats.RecordDrop();
+  // A resend counts in its own type and in the retransmit class.
+  Message resend = data;
+  resend.retransmit = true;
+  stats.RecordSend(resend);
 
-  EXPECT_EQ(stats.total_messages(), 3u);
+  EXPECT_EQ(stats.total_messages(), 4u);
   EXPECT_EQ(stats.total_bytes(),
-            2u * (88u + Message::kHeaderBytes) + Message::kHeaderBytes);
+            3u * (88u + Message::kHeaderBytes) + Message::kHeaderBytes);
   EXPECT_EQ(stats.dropped_messages(), 1u);
-  EXPECT_EQ(stats.MessagesOfType(MessageType::kUpdateData), 2u);
+  EXPECT_EQ(stats.MessagesOfType(MessageType::kUpdateData), 3u);
   EXPECT_EQ(stats.BytesOfType(MessageType::kUpdateData),
-            2u * (88u + Message::kHeaderBytes));
+            3u * (88u + Message::kHeaderBytes));
   EXPECT_EQ(stats.MessagesOfType(MessageType::kQueryResult), 0u);
+  EXPECT_EQ(stats.Sent(CostClass::kData).messages, 2u);
+  EXPECT_EQ(stats.Sent(CostClass::kRetransmit).messages, 1u);
+  EXPECT_EQ(stats.Sent(CostClass::kRetransmit).bytes,
+            88u + Message::kHeaderBytes);
+  EXPECT_EQ(stats.Sent(CostClass::kAck).messages, 1u);
 
   std::string report = stats.Report();
   EXPECT_NE(report.find("UPDATE_DATA"), std::string::npos);
   EXPECT_NE(report.find("dropped"), std::string::npos);
-
-  stats.Reset();
-  EXPECT_EQ(stats.total_messages(), 0u);
-  EXPECT_EQ(stats.MessagesOfType(MessageType::kUpdateData), 0u);
 }
 
 TEST(LoggingTest, LevelsGateOutput) {

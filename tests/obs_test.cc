@@ -2,11 +2,12 @@
 // histogram bucketing, snapshot merge/serialize round-trips, the flow
 // tracer's span bookkeeping, a golden end-to-end trace of a 3-node
 // global update whose span counts must agree with the statistics module,
-// and the wire-cost ledger / queue profiler (per-class byte accounting
-// checked exactly against the transport counters).
+// and the wire-cost ledger / queue profiler (the network's per-class
+// counts checked exactly against the sum of the peers' own ledgers).
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <set>
 
 #include "net/fault.h"
@@ -398,20 +399,29 @@ TEST(MetricsTest, MergeClampsOutOfRangeBuckets) {
 // ---------------------------------------------------------------------------
 // Cost ledger
 
-// Every wire type, for replaying the transport's per-type counters
-// through the same classifier the ledger uses.
-constexpr MessageType kAllMessageTypes[] = {
-    MessageType::kAdvertisement,
-    MessageType::kUpdateRequest,  MessageType::kUpdateData,
-    MessageType::kLinkClosed,     MessageType::kUpdateAck,
-    MessageType::kUpdateComplete, MessageType::kQueryRequest,
-    MessageType::kQueryResult,    MessageType::kQueryDone,
-    MessageType::kStatsRequest,   MessageType::kStatsReport,
-    MessageType::kDeliveryAck,    MessageType::kHeartbeat,
-    MessageType::kHeartbeatAck,   MessageType::kFederationReport,
-    MessageType::kConfigSlice,    MessageType::kConfigDelta,
-    MessageType::kConfigFetch,    MessageType::kConfigAck,
+// Per class, the sums of every node's and super-peer's own ledger.
+struct PeerTotals {
+  std::array<CostLedger::Totals, kCostClassCount> sent{};
+  std::array<CostLedger::Totals, kCostClassCount> received{};
 };
+
+PeerTotals SumPeerLedgers(Testbed& bed) {
+  PeerTotals totals;
+  auto add = [&totals](const CostLedger& ledger) {
+    for (size_t c = 0; c < kCostClassCount; ++c) {
+      const CostClass cls = static_cast<CostClass>(c);
+      totals.sent[c].messages += ledger.Sent(cls).messages;
+      totals.sent[c].bytes += ledger.Sent(cls).bytes;
+      totals.received[c].messages += ledger.Received(cls).messages;
+      totals.received[c].bytes += ledger.Received(cls).bytes;
+    }
+  };
+  for (const auto& node : bed.nodes()) add(node->statistics().cost());
+  for (size_t s = 0; s < bed.super_peer_count(); ++s) {
+    add(bed.super_peer(s).cost());
+  }
+  return totals;
+}
 
 TEST(CostLedgerTest, GoldenThreeNodeByteAccounting) {
   WorkloadOptions workload;
@@ -430,28 +440,24 @@ TEST(CostLedgerTest, GoldenThreeNodeByteAccounting) {
   ASSERT_TRUE(bed.AllComplete(update.value()));
   ASSERT_TRUE(bed.CollectStats().ok());
 
-  // Golden cross-check: per class, the network-wide ledger must agree
-  // EXACTLY with the transport's per-type counters replayed through the
-  // classifier (no reliability layer here, so no retransmit flags).
+  // Golden cross-check: every message has one sender and one receiver,
+  // each with an attached ledger, so per class the network's ledger must
+  // equal the sum of the peers' ledgers EXACTLY, on both sides.
   const CostLedger& cost = bed.cost();
-  std::array<CostLedger::Totals, kCostClassCount> expected{};
-  for (MessageType type : kAllMessageTypes) {
-    auto& slot = expected[static_cast<size_t>(
-        ClassifyMessage(type, /*retransmit=*/false))];
-    slot.messages += bed.network().stats().MessagesOfType(type);
-    slot.bytes += bed.network().stats().BytesOfType(type);
-  }
+  const PeerTotals peers = SumPeerLedgers(bed);
   uint64_t total_bytes = 0;
   for (size_t c = 0; c < kCostClassCount; ++c) {
     CostClass cls = static_cast<CostClass>(c);
     SCOPED_TRACE(CostClassName(cls));
-    EXPECT_EQ(cost.Sent(cls).messages, expected[c].messages);
-    EXPECT_EQ(cost.Sent(cls).bytes, expected[c].bytes);
+    EXPECT_EQ(cost.Sent(cls).messages, peers.sent[c].messages);
+    EXPECT_EQ(cost.Sent(cls).bytes, peers.sent[c].bytes);
+    EXPECT_EQ(cost.Received(cls).messages, peers.received[c].messages);
+    EXPECT_EQ(cost.Received(cls).bytes, peers.received[c].bytes);
     // No faults and no dead peers: everything sent was delivered.
     EXPECT_EQ(cost.Received(cls).bytes, cost.Sent(cls).bytes);
     total_bytes += cost.Sent(cls).bytes;
   }
-  EXPECT_EQ(cost.TotalSentBytes(), total_bytes);
+  EXPECT_EQ(cost.total_bytes(), total_bytes);
   EXPECT_GT(cost.SentBytes(CostClass::kData), 0u);
   EXPECT_GT(cost.SentBytes(CostClass::kConfig), 0u);
   EXPECT_EQ(cost.SentBytes(CostClass::kRetransmit), 0u);
@@ -488,18 +494,53 @@ TEST(CostLedgerTest, LossyRingChargesRetransmitClass) {
   ASSERT_TRUE(update.ok()) << update.status().ToString();
   ASSERT_TRUE(bed.AllComplete(update.value()));
 
-  // Losses forced resends; the ledger charges them to the retransmit
-  // class and its byte total must equal the reliability layer's own
-  // net.retx.bytes counter exactly (both charge WireSize at send time,
-  // whether or not the fault injector then drops the copy).
-  uint64_t retx_counted = 0;
+  // Losses forced resends; the ledger charges each to the retransmit
+  // class (at send time, whether or not the fault injector then drops the
+  // copy), so its message count equals the reliability layer's own count
+  // of resends exactly.
+  uint64_t resends = 0;
   for (const auto& node : bed.nodes()) {
-    retx_counted +=
-        node->statistics().metrics().GetCounter("net.retx.bytes")->value();
+    MetricsRegistry& metrics = node->statistics().metrics();
+    resends += metrics.GetCounter("update.retransmits")->value() +
+               metrics.GetCounter("query.retransmits")->value();
   }
-  EXPECT_GT(retx_counted, 0u);
-  EXPECT_EQ(bed.cost().SentBytes(CostClass::kRetransmit), retx_counted);
-  EXPECT_GT(bed.cost().Sent(CostClass::kRetransmit).messages, 0u);
+  EXPECT_GT(resends, 0u);
+  EXPECT_EQ(bed.cost().Sent(CostClass::kRetransmit).messages, resends);
+  EXPECT_GT(bed.cost().SentBytes(CostClass::kRetransmit), 0u);
+}
+
+TEST(CostLedgerTest, ProfilingChangesNoNetworkCount) {
+  WorkloadOptions workload;
+  workload.nodes = 4;
+  workload.tuples_per_node = 3;
+  GeneratedNetwork generated = MakeChain(workload);
+  Testbed::Options options;
+  options.profiling = true;
+  Result<std::unique_ptr<Testbed>> plain = Testbed::Create(generated);
+  Result<std::unique_ptr<Testbed>> profiled =
+      Testbed::Create(generated, options);
+  ASSERT_TRUE(plain.ok()) << plain.status().ToString();
+  ASSERT_TRUE(profiled.ok()) << profiled.status().ToString();
+  ASSERT_TRUE(plain.value()->RunGlobalUpdate("n0").ok());
+  ASSERT_TRUE(profiled.value()->RunGlobalUpdate("n0").ok());
+
+  const CostLedger& a = plain.value()->network().stats();
+  const CostLedger& b = profiled.value()->network().stats();
+  EXPECT_GT(a.total_messages(), 0u);
+  for (size_t raw = 0; raw < kMessageTypeLimit; ++raw) {
+    const MessageType type = static_cast<MessageType>(raw);
+    SCOPED_TRACE(MessageTypeName(type));
+    EXPECT_EQ(a.MessagesOfType(type), b.MessagesOfType(type));
+    EXPECT_EQ(a.BytesOfType(type), b.BytesOfType(type));
+  }
+  for (size_t c = 0; c < kCostClassCount; ++c) {
+    const CostClass cls = static_cast<CostClass>(c);
+    SCOPED_TRACE(CostClassName(cls));
+    EXPECT_EQ(a.Sent(cls).messages, b.Sent(cls).messages);
+    EXPECT_EQ(a.Sent(cls).bytes, b.Sent(cls).bytes);
+    EXPECT_EQ(a.Received(cls).messages, b.Received(cls).messages);
+    EXPECT_EQ(a.Received(cls).bytes, b.Received(cls).bytes);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -512,13 +553,17 @@ TEST(QueueProfilerTest, OffByDefaultThenInstrumentsWhenEnabled) {
   GeneratedNetwork generated = MakeChain(workload);
 
   // Default testbed: profiling stays off, the profiler snapshots to
-  // nothing (no instruments were ever registered) and no ledger exists.
+  // nothing (no instruments were ever registered) and no peer's own
+  // ledger is attached, so each stays empty.
   {
     Result<std::unique_ptr<Testbed>> bed = Testbed::Create(generated);
     ASSERT_TRUE(bed.ok()) << bed.status().ToString();
     EXPECT_FALSE(bed.value()->network().profiler().enabled());
     EXPECT_TRUE(bed.value()->network().profiler().Snapshot().empty());
-    EXPECT_TRUE(bed.value()->cost().empty());
+    for (const auto& node : bed.value()->nodes()) {
+      EXPECT_TRUE(node->statistics().cost().empty()) << node->name();
+    }
+    EXPECT_TRUE(bed.value()->super_peer().cost().empty());
   }
 
   // Profiling testbed: the event loops record sojourn + service time per

@@ -318,6 +318,59 @@ TEST(QuerySnapshotTest, QueryOpenedBeforeARefreshKeepsItsRows) {
   EXPECT_EQ(Sorted(answers.value()), Sorted(pre_refresh.value()));
 }
 
+TEST(QueryAnsweringTest, RuleAskedUnderTwoLabelsShipsEachFrontierOnce) {
+  // A diamond a <- {b, c} <- y above x: the query reaches y along two
+  // paths, so y asks x for rule yx under two labels.
+  GeneratedNetwork generated;
+  Result<NetworkConfig> config = NetworkConfig::Parse(R"(
+node a
+  relation d(k:int)
+node b
+  relation d(k:int)
+node c
+  relation d(k:int)
+node y
+  relation d(k:int)
+node x
+  relation d(k:int)
+rule ab a <- b : d(K) :- d(K).
+rule ac a <- c : d(K) :- d(K).
+rule by b <- y : d(K) :- d(K).
+rule cy c <- y : d(K) :- d(K).
+rule yx y <- x : d(K) :- d(K).
+)");
+  ASSERT_TRUE(config.ok()) << config.status().ToString();
+  generated.config = std::move(config).value();
+  constexpr int kRows = 50;
+  for (int i = 0; i < kRows; ++i) {
+    generated.seeds["x"]["d"].push_back(Tuple{Value::Int(i)});
+  }
+  Result<std::unique_ptr<Testbed>> testbed = Testbed::Create(generated);
+  ASSERT_TRUE(testbed.ok()) << testbed.status().ToString();
+  Testbed& bed = *testbed.value();
+
+  Result<FlowId> query = bed.node("a")->StartQuery(Q("q(K) :- d(K)."));
+  ASSERT_TRUE(query.ok()) << query.status().ToString();
+  bed.network().Run();
+  ASSERT_TRUE(bed.node("a")->QueryDone(query.value()));
+  Result<std::vector<Tuple>> answers =
+      bed.node("a")->QueryAnswers(query.value());
+  ASSERT_TRUE(answers.ok()) << answers.status().ToString();
+  EXPECT_EQ(answers.value().size(), static_cast<size_t>(kRows));
+
+  // Both labels reached x, yet every frontier left x once, in one message.
+  EXPECT_EQ(bed.node("x")->statistics().metrics().GetCounter(
+                "query.requests_in")->value(),
+            2u);
+  const UpdateReport* served =
+      bed.node("x")->statistics().FindReport(query.value());
+  ASSERT_NE(served, nullptr);
+  ASSERT_EQ(served->sent_per_rule.count("yx"), 1u);
+  EXPECT_EQ(served->sent_per_rule.at("yx").messages, 1u);
+  EXPECT_EQ(served->sent_per_rule.at("yx").tuples,
+            static_cast<uint64_t>(kRows));
+}
+
 TEST(QueryAnsweringTest, RejectsMalformedQueries) {
   WorkloadOptions options;
   options.nodes = 2;

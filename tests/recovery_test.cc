@@ -1,7 +1,7 @@
 // Integration tests of crash recovery: nodes with durable storage are
 // killed (cleanly or mid-global-update), restarted from disk, and the
 // network must converge back to the oracle fixed point. Also checks that
-// durability counters flow into the super-peer's final report.
+// durability counters flow into the super-peers' final reports.
 
 #include <gtest/gtest.h>
 
@@ -56,15 +56,69 @@ TEST(RecoveryIntegrationTest, CleanKillRestartRecoversExactStore) {
   EXPECT_GT(revived.value()->durable_storage()->recovery().checkpoint_tuples,
             0u);
 
-  // Durability counters travel with the stats reports to the super-peer.
+  // Durability counters travel in the stats reports' metrics trailer to
+  // the super-peer, as storage.* entries.
   ASSERT_TRUE(bed.CollectStats().ok());
-  const auto& durability = bed.super_peer().collected_durability();
-  ASSERT_FALSE(durability.empty());
-  ASSERT_NE(durability.find("n1"), durability.end());
-  EXPECT_GT(durability.at("n1").recovered_checkpoint_tuples +
-                durability.at("n1").recovered_wal_records,
-            0u);
-  EXPECT_NE(bed.super_peer().FinalReport().find("durability"),
+  const auto& metrics = bed.super_peer().collected_metrics();
+  ASSERT_NE(metrics.find("n1"), metrics.end());
+  const auto& n1 = metrics.at("n1").entries;
+  ASSERT_NE(n1.find("storage.recovered.checkpoint_tuples"), n1.end());
+  ASSERT_NE(n1.find("storage.recovered.wal_records"), n1.end());
+  EXPECT_GT(n1.at("storage.recovered.checkpoint_tuples").value +
+                n1.at("storage.recovered.wal_records").value,
+            0);
+  EXPECT_NE(bed.super_peer().FinalReport().find("storage.recoveries"),
+            std::string::npos);
+}
+
+TEST(RecoveryIntegrationTest, FederatedReportCarriesDurability) {
+  WorkloadOptions options;
+  options.nodes = 4;
+  options.tuples_per_node = 3;
+  GeneratedNetwork generated = MakeChain(options);
+
+  Testbed::Options bed_options;
+  bed_options.storage.directory =
+      FreshStorageRoot("federated", options.nodes);
+  bed_options.super_peers = 2;
+  Result<std::unique_ptr<Testbed>> testbed =
+      Testbed::Create(generated, bed_options);
+  ASSERT_TRUE(testbed.ok()) << testbed.status().ToString();
+  Testbed& bed = *testbed.value();
+  ASSERT_EQ(bed.super_of("n3"), &bed.super_peer(1));
+
+  ASSERT_TRUE(bed.RunGlobalUpdate("n0").ok());
+  ASSERT_TRUE(bed.KillNode("n3").ok());
+  Result<Node*> revived = bed.RestartNode("n3");
+  ASSERT_TRUE(revived.ok()) << revived.status().ToString();
+  ASSERT_TRUE(bed.CollectStats().ok());
+
+  // Only n3 recovered rows from disk, and it reports to super 1: super 0
+  // sees that recovery through super 1's digest alone.
+  const DurabilityStats& n3 = revived.value()->statistics().durability();
+  ASSERT_GT(n3.recovered_checkpoint_tuples, 0u);
+  const MetricsSnapshot own = bed.super_peer(0).MergedMetrics();
+  EXPECT_EQ(own.entries.at("storage.recovered.checkpoint_tuples").value, 0);
+  const MetricsSnapshot federated = bed.super_peer(0).FederatedMetrics();
+  ASSERT_NE(federated.entries.find("storage.recovered.checkpoint_tuples"),
+            federated.entries.end());
+  EXPECT_EQ(federated.entries.at("storage.recovered.checkpoint_tuples").value,
+            static_cast<int64_t>(n3.recovered_checkpoint_tuples));
+  // Every storage open counts a recovery; the federated sum covers every
+  // live node of both regions.
+  uint64_t recoveries = 0;
+  for (const auto& node : bed.nodes()) {
+    recoveries += node->statistics().durability().recoveries;
+  }
+  ASSERT_NE(federated.entries.find("storage.recoveries"),
+            federated.entries.end());
+  EXPECT_EQ(federated.entries.at("storage.recoveries").value,
+            static_cast<int64_t>(recoveries));
+
+  const std::string report = bed.super_peer(0).FinalReport();
+  EXPECT_NE(report.find("2 super-peers"), std::string::npos);
+  EXPECT_NE(report.find("storage.recoveries"), std::string::npos);
+  EXPECT_NE(report.find("storage.recovered.checkpoint_tuples"),
             std::string::npos);
 }
 

@@ -172,9 +172,9 @@ TEST(FederationTest, RegionedSupersCoverTheNetworkTogether) {
     }
   }
 
-  std::string report = bed.super_peer(1).FederatedReport();
-  EXPECT_NE(report.find("federated statistical report"), std::string::npos);
-  EXPECT_NE(report.find("2 super-peers"), std::string::npos);
+  std::string report = bed.super_peer(1).FinalReport();
+  EXPECT_NE(report.find("final statistical report (6 nodes, 2 super-peers)"),
+            std::string::npos);
   EXPECT_NE(report.find("update/"), std::string::npos);
   EXPECT_NE(report.find("longest path"), std::string::npos);
 }
